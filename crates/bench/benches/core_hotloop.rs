@@ -1,25 +1,17 @@
-//! Throughput of the simulator's lookup/forward/adapt hot loop: timed
-//! `Network::run` passes under ERT/AF, at Table 2 scale by default or
-//! the reduced quick shape with `--quick`. Each pass runs the same
-//! scenario on a different shard count (S=1 and S=8) so the committed
-//! trajectory records the sharded core's overhead head-to-head; the
-//! simulation counters are byte-identical across the two records.
+//! Throughput of the simulator's lookup/forward/adapt hot loop: one
+//! timed `Network::run` pass under ERT/AF, at Table 2 scale by default
+//! or the reduced quick shape with `--quick`.
 //!
 //! Timing is hand-rolled (the interesting number is whole-run wall
 //! time, not a Criterion sample distribution). Besides the stderr
-//! summary the bench writes `BENCH_core.json` — one
-//! [`ert_bench::CoreBenchRecord`] JSON object per line, guarded by the
-//! crate's `core_bench_record_schema` test and `ert-testkit`'s bench
-//! guards — for machine consumption. `--out <path>` overrides the
-//! target.
+//! summary the bench writes `BENCH_core.json` (schema:
+//! [`ert_bench::CoreBenchRecord`], guarded by the crate's
+//! `core_bench_record_schema` test and `ert-testkit`'s bench guards)
+//! for machine consumption — `--out <path>` overrides the target.
 //!
 //! Usage: `cargo bench --bench core_hotloop -- [--quick] [--out <path>]`
 
 use ert_bench::{run_core_bench, CoreBenchScenario};
-
-/// Shard counts measured per invocation: the degenerate one-reactor
-/// core and an eight-way split of the same scenario.
-const SHARD_COUNTS: [usize; 2] = [1, 8];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -35,28 +27,20 @@ fn main() {
     } else {
         CoreBenchScenario::table2()
     };
-    let mut lines = String::new();
-    for shards in SHARD_COUNTS {
-        let record = run_core_bench(shape, shards);
-        eprintln!(
-            "core_hotloop: n={} lookups={} S={} -> {:.0} events/s ({} events, {:.3} s wall)",
-            record.scenario.n,
-            record.scenario.lookups,
-            record.shards,
-            record.events_per_second,
-            record.events_processed,
-            record.wall_seconds,
-        );
-        eprintln!(
-            "core_hotloop: S={} {:.0} lookups/s, {:.0} forwards/s, {:.1} adapt rounds/s",
-            record.shards,
-            record.lookups_per_second,
-            record.forwards_per_second,
-            record.adapt_rounds_per_second,
-        );
-        lines.push_str(&record.to_json());
-        lines.push('\n');
-    }
-    std::fs::write(&out, lines).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    eprintln!("core_hotloop: records written to {out}");
+    let record = run_core_bench(shape);
+    eprintln!(
+        "core_hotloop: n={} lookups={} -> {:.0} events/s ({} events, {:.3} s wall)",
+        record.scenario.n,
+        record.scenario.lookups,
+        record.events_per_second,
+        record.events_processed,
+        record.wall_seconds,
+    );
+    eprintln!(
+        "core_hotloop: {:.0} lookups/s, {:.0} forwards/s, {:.1} adapt rounds/s",
+        record.lookups_per_second, record.forwards_per_second, record.adapt_rounds_per_second,
+    );
+    std::fs::write(&out, record.to_json() + "\n")
+        .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    eprintln!("core_hotloop: record written to {out}");
 }

@@ -125,12 +125,6 @@ impl CoreBenchScenario {
 pub struct CoreBenchRecord {
     /// The measured shape.
     pub scenario: CoreBenchScenario,
-    /// Shard count of the event core the pass ran on: `1` is the
-    /// sharded core run degenerately on one reactor, larger values
-    /// split the population. Reports are byte-identical across shard
-    /// counts, so only the wall-clock columns may differ between
-    /// records sharing a scenario.
-    pub shards: usize,
     /// Protocol under test (always ERT/AF — the full hot loop).
     pub protocol: String,
     /// Wall-clock seconds of the single `Network::run` pass.
@@ -160,18 +154,16 @@ impl CoreBenchRecord {
     }
 }
 
-/// Runs the core hot loop once at `shape` under ERT/AF on a
-/// `shards`-way event core (0 = the legacy single loop) and returns
-/// the timed throughput record. The workload derivation mirrors
+/// Runs the core hot loop once at `shape` under ERT/AF and returns the
+/// timed throughput record. The workload derivation mirrors
 /// `Scenario::build` (same capacity distribution and arrival process),
 /// but drives [`Network`] directly so the engine-event and
 /// adapt-round counters are readable after the run.
-pub fn run_core_bench(shape: CoreBenchScenario, shards: usize) -> CoreBenchRecord {
+pub fn run_core_bench(shape: CoreBenchScenario) -> CoreBenchRecord {
     let mut rng = SimRng::seed_from(shape.seed.wrapping_mul(0x9e37_79b9));
     let capacities = BoundedPareto::paper_default().sample_n(shape.n, &mut rng.fork("capacities"));
     let dim = CycloidSpace::dimension_for(shape.n);
-    let mut cfg = NetworkConfig::for_dimension(dim, shape.seed);
-    cfg.shards = shards;
+    let cfg = NetworkConfig::for_dimension(dim, shape.seed);
     let lookups = uniform_lookups(shape.lookups, shape.n as f64, &mut rng.fork("lookups"));
     let mut net =
         Network::new(cfg, &capacities, ProtocolSpec::ert_af()).expect("valid bench scenario");
@@ -184,7 +176,6 @@ pub fn run_core_bench(shape: CoreBenchScenario, shards: usize) -> CoreBenchRecor
     let hops_forwarded = (report.mean_path_length * report.lookups_completed as f64).round() as u64;
     CoreBenchRecord {
         scenario: shape,
-        shards,
         protocol: report.protocol.clone(),
         wall_seconds,
         events_processed: net.events_processed(),
@@ -248,7 +239,6 @@ mod tests {
     fn core_bench_record_schema() {
         let record = CoreBenchRecord {
             scenario: CoreBenchScenario::quick(),
-            shards: 1,
             protocol: "ERT/AF".into(),
             wall_seconds: 0.5,
             events_processed: 4000,
@@ -267,7 +257,6 @@ mod tests {
             "\"lookups\":200",
             "\"seed\":97",
             "\"quick\":true",
-            "\"shards\":1",
             "\"protocol\":\"ERT/AF\"",
             "\"wall_seconds\":",
             "\"events_processed\":4000",
@@ -290,7 +279,7 @@ mod tests {
     /// rates are positive, and the shape matches the request.
     #[test]
     fn core_bench_runs_and_counts_sensibly() {
-        let record = run_core_bench(CoreBenchScenario::quick(), 1);
+        let record = run_core_bench(CoreBenchScenario::quick());
         assert_eq!(record.scenario.n, 128);
         assert_eq!(record.protocol, "ERT/AF");
         assert!(record.lookups_completed > 0);
@@ -302,19 +291,15 @@ mod tests {
     }
 
     /// The core bench is a fixed-seed world: the simulation counters
-    /// (everything but wall time) are identical across passes — and
-    /// across shard counts, the bench-level view of the shard-count
-    /// invariance contract.
+    /// (everything but wall time) are identical across passes.
     #[test]
-    fn core_bench_counters_are_deterministic_across_shard_counts() {
-        let a = run_core_bench(CoreBenchScenario::quick(), 1);
-        for shards in [1, 8] {
-            let b = run_core_bench(CoreBenchScenario::quick(), shards);
-            assert_eq!(a.events_processed, b.events_processed, "S={shards}");
-            assert_eq!(a.lookups_completed, b.lookups_completed, "S={shards}");
-            assert_eq!(a.hops_forwarded, b.hops_forwarded, "S={shards}");
-            assert_eq!(a.adapt_rounds, b.adapt_rounds, "S={shards}");
-        }
+    fn core_bench_counters_are_deterministic() {
+        let a = run_core_bench(CoreBenchScenario::quick());
+        let b = run_core_bench(CoreBenchScenario::quick());
+        assert_eq!(a.events_processed, b.events_processed);
+        assert_eq!(a.lookups_completed, b.lookups_completed);
+        assert_eq!(a.hops_forwarded, b.hops_forwarded);
+        assert_eq!(a.adapt_rounds, b.adapt_rounds);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Ablation sweeps of the design choices: the forwarding ladder and the
 //! `α` / `β` sensitivities.
 //!
-//! Usage: `ablation [--quick] [--seeds K] [--jobs N] [--shards S] [--telemetry <path.jsonl>]
+//! Usage: `ablation [--quick] [--seeds K] [--jobs N] [--telemetry <path.jsonl>]
 //! [--sample-interval <secs>] [--trace <N>]`
 
 use std::path::Path;
@@ -27,7 +27,6 @@ fn main() {
         Scenario::paper_default(seeds)
     };
     base.jobs = ert_experiments::cli::jobs_from_env();
-    base.shards = ert_experiments::cli::shards_from_env();
     base.stream_stats = ert_experiments::cli::stream_stats_from_env();
     let dim_alpha = if quick { 9.0 } else { 11.0 };
     let tables = vec![

@@ -2,7 +2,7 @@
 //! defectors, Sybil swarms, and a query-flood flash crowd, for Base
 //! vs. ERT/AF. Writes the `adv_*` panels to `results/`.
 //!
-//! Usage: `adversarial [--quick] [--seeds K] [--jobs N] [--shards S]
+//! Usage: `adversarial [--quick] [--seeds K] [--jobs N]
 //! [--stream-stats] [--telemetry <path.jsonl>]
 //! [--sample-interval <secs>] [--trace <N>]`
 
@@ -35,7 +35,6 @@ fn main() {
         }
     };
     base.jobs = cli::parse_jobs(&args);
-    base.shards = cli::parse_shards(&args);
     base.stream_stats = cli::parse_stream_stats(&args);
     emit(
         &adversarial::tables(&base, quick),

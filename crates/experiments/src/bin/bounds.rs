@@ -1,6 +1,6 @@
 //! Checks Theorems 3.1 and 3.2 on measured elastic tables.
 //!
-//! Usage: `bounds [--quick] [--jobs N] [--shards S]`
+//! Usage: `bounds [--quick] [--jobs N]`
 
 use std::path::Path;
 
@@ -16,7 +16,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = ert_experiments::cli::parse_jobs(&args).unwrap_or_else(ert_par::default_jobs);
-    let shards = ert_experiments::cli::parse_shards(&args);
     let (n, lookups) = if quick { (128, 250) } else { (2048, 3000) };
     let params = ErtParams::default();
     let cases = [
@@ -32,11 +31,11 @@ fn main() {
     let checks: Vec<Check> = vec![
         (
             "thm31 exact".into(),
-            Box::new(move || bounds::theorem31_check(n, 1.0, 51, shards)),
+            Box::new(move || bounds::theorem31_check(n, 1.0, 51)),
         ),
         (
             "thm31 err".into(),
-            Box::new(move || bounds::theorem31_check(n, 1.5, 52, shards)),
+            Box::new(move || bounds::theorem31_check(n, 1.5, 52)),
         ),
         (
             "thm32 convergence".into(),
@@ -44,11 +43,11 @@ fn main() {
         ),
         (
             "thm32 network".into(),
-            Box::new(move || (bounds::theorem32_check(n, lookups, 53, shards), true)),
+            Box::new(move || (bounds::theorem32_check(n, lookups, 53), true)),
         ),
         (
             "thm33".into(),
-            Box::new(move || bounds::theorem33_check(n, lookups, 54, shards)),
+            Box::new(move || bounds::theorem33_check(n, lookups, 54)),
         ),
     ];
     let mut all_ok = true;

@@ -1,7 +1,7 @@
 //! Extension experiments beyond the paper's figures: Zipf popularity,
 //! drifting hot sets, and anonymity-mode data forwarding.
 //!
-//! Usage: `extensions [--quick] [--seeds K] [--jobs N] [--shards S] [--telemetry <path.jsonl>]
+//! Usage: `extensions [--quick] [--seeds K] [--jobs N] [--telemetry <path.jsonl>]
 //! [--sample-interval <secs>] [--trace <N>]`
 
 use std::path::Path;
@@ -27,7 +27,6 @@ fn main() {
         Scenario::paper_default(seeds)
     };
     base.jobs = ert_experiments::cli::jobs_from_env();
-    base.shards = ert_experiments::cli::shards_from_env();
     base.stream_stats = ert_experiments::cli::stream_stats_from_env();
     let (keys, epoch) = if quick { (20, 100) } else { (100, 500) };
     let tables = vec![

@@ -1,7 +1,7 @@
 //! Regenerates Fig. 10 (lookup efficiency under churn) and the
 //! Section 5.5 timeout statistic.
 //!
-//! Usage: `fig10 [--quick] [--seeds K] [--jobs N] [--shards S] [--telemetry <path.jsonl>]
+//! Usage: `fig10 [--quick] [--seeds K] [--jobs N] [--telemetry <path.jsonl>]
 //! [--sample-interval <secs>] [--trace <N>]`
 
 use std::path::Path;
@@ -31,7 +31,6 @@ fn main() {
     };
     let mut base = base;
     base.jobs = ert_experiments::cli::jobs_from_env();
-    base.shards = ert_experiments::cli::shards_from_env();
     base.stream_stats = ert_experiments::cli::stream_stats_from_env();
     let sweep = fig9::churn_sweep(&base, &ias);
     emit(&fig10::tables(&sweep), Some(Path::new("results")));

@@ -1,6 +1,6 @@
 //! Regenerates Fig. 4 (congestion control effectiveness).
 //!
-//! Usage: `fig4 [--quick] [--seeds K] [--jobs N] [--shards S] [--telemetry <path.jsonl>]
+//! Usage: `fig4 [--quick] [--seeds K] [--jobs N] [--telemetry <path.jsonl>]
 //! [--sample-interval <secs>] [--trace <N>]`
 
 use std::path::Path;
@@ -12,7 +12,6 @@ use ert_network::ProtocolSpec;
 fn main() {
     let (mut base, points) = scale_from_args();
     base.jobs = ert_experiments::cli::jobs_from_env();
-    base.shards = ert_experiments::cli::shards_from_env();
     base.stream_stats = ert_experiments::cli::stream_stats_from_env();
     let tables = fig4::run(&base, &points);
     emit(&tables, Some(Path::new("results")));

@@ -1,6 +1,6 @@
 //! Regenerates Fig. 5 (lookup efficiency).
 //!
-//! Usage: `fig5 [--quick] [--seeds K] [--jobs N] [--shards S] [--telemetry <path.jsonl>]
+//! Usage: `fig5 [--quick] [--seeds K] [--jobs N] [--telemetry <path.jsonl>]
 //! [--sample-interval <secs>] [--trace <N>]`
 
 use std::path::Path;
@@ -35,7 +35,6 @@ fn main() {
     };
     let mut base = base;
     base.jobs = ert_experiments::cli::jobs_from_env();
-    base.shards = ert_experiments::cli::shards_from_env();
     base.stream_stats = ert_experiments::cli::stream_stats_from_env();
     let sweep = fig4::lookup_sweep(&base, &points);
     let tables = vec![

@@ -1,10 +1,6 @@
 //! Regenerates Fig. 6 (the plain-Cycloid indegree census).
 //!
-//! Usage: `fig6 [--quick] [--jobs N] [--shards S]`
-//!
-//! `--shards` is accepted for sweep-script uniformity but ignored (and
-//! says so on stderr): this binary runs no event loop, so there is
-//! nothing to shard and output is identical with or without it.
+//! Usage: `fig6 [--quick] [--jobs N]`
 
 use std::path::Path;
 
@@ -15,10 +11,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = ert_experiments::cli::parse_jobs(&args).unwrap_or_else(ert_par::default_jobs);
-    // Accepted for CLI uniformity with the sweep binaries; this binary
-    // runs no event loop, so there is nothing for the shard count to
-    // partition and any value leaves the output untouched.
-    ert_experiments::cli::warn_shards_ignored("fig6", &args);
     let dims: Vec<u8> = if quick {
         vec![4, 5, 6]
     } else {

@@ -1,6 +1,6 @@
 //! Regenerates Fig. 8 (skewed lookups).
 //!
-//! Usage: `fig8 [--quick] [--seeds K] [--jobs N] [--shards S] [--telemetry <path.jsonl>]
+//! Usage: `fig8 [--quick] [--seeds K] [--jobs N] [--telemetry <path.jsonl>]
 //! [--sample-interval <secs>] [--trace <N>]`
 
 use std::path::Path;
@@ -37,7 +37,6 @@ fn main() {
     };
     let mut base = base;
     base.jobs = ert_experiments::cli::jobs_from_env();
-    base.shards = ert_experiments::cli::shards_from_env();
     base.stream_stats = ert_experiments::cli::stream_stats_from_env();
     let sweep = fig8::service_sweep(&base, &services, nodes, keys);
     emit(&fig8::tables(&sweep), Some(Path::new("results")));

@@ -1,6 +1,6 @@
 //! Regenerates Fig. 9 (congestion under churn).
 //!
-//! Usage: `fig9 [--quick] [--seeds K] [--jobs N] [--shards S] [--telemetry <path.jsonl>]
+//! Usage: `fig9 [--quick] [--seeds K] [--jobs N] [--telemetry <path.jsonl>]
 //! [--sample-interval <secs>] [--trace <N>]`
 
 use std::path::Path;
@@ -30,7 +30,6 @@ fn main() {
     };
     let mut base = base;
     base.jobs = ert_experiments::cli::jobs_from_env();
-    base.shards = ert_experiments::cli::shards_from_env();
     base.stream_stats = ert_experiments::cli::stream_stats_from_env();
     let sweep = fig9::churn_sweep(&base, &ias);
     emit(&fig9::tables(&sweep), Some(Path::new("results")));

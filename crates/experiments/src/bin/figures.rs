@@ -1,7 +1,7 @@
 //! Regenerates **every** figure and theorem table of the paper in one
 //! run, writing CSVs to `results/`.
 //!
-//! Usage: `figures [--quick] [--seeds K] [--jobs N] [--shards S] [--telemetry <path.jsonl>]
+//! Usage: `figures [--quick] [--seeds K] [--jobs N] [--telemetry <path.jsonl>]
 //! [--sample-interval <secs>] [--trace <N>]`
 //!
 //! At paper scale (n = 2048, 3000 lookups, Table 2 defaults) expect a
@@ -41,7 +41,6 @@ fn main() {
         Scenario::paper_default(seeds)
     };
     base.jobs = ert_experiments::cli::jobs_from_env();
-    base.shards = ert_experiments::cli::shards_from_env();
     base.stream_stats = ert_experiments::cli::stream_stats_from_env();
 
     // Figs. 4, 5a, 7 share the lookup-count sweep.
@@ -146,8 +145,8 @@ fn main() {
     // Theorems 3.1 / 3.2.
     eprintln!("[figures] degree bounds...");
     let (bn, blookups) = if quick { (128, 250) } else { (2048, 3000) };
-    let (t31a, ok1) = bounds::theorem31_check(bn, 1.0, 51, base.shards);
-    let (t31b, ok2) = bounds::theorem31_check(bn, 1.5, 52, base.shards);
+    let (t31a, ok1) = bounds::theorem31_check(bn, 1.0, 51);
+    let (t31b, ok2) = bounds::theorem31_check(bn, 1.5, 52);
     let (t32, ok3) = bounds::theorem32_convergence(
         &[
             (50.0, 0.5),
@@ -158,7 +157,7 @@ fn main() {
         ],
         &ErtParams::default(),
     );
-    let t32n = bounds::theorem32_check(bn, blookups, 53, base.shards);
+    let t32n = bounds::theorem32_check(bn, blookups, 53);
     emit(&[t31a, t31b, t32, t32n], Some(results));
     assert!(ok1 && ok2 && ok3, "a theorem bound was violated");
 

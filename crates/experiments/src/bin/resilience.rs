@@ -2,7 +2,7 @@
 //! survival and recovery overhead for Base vs. ERT/AF as chaos
 //! intensity rises.
 //!
-//! Usage: `resilience [--quick] [--seeds K] [--jobs N] [--shards S] [--faults <intensity>]
+//! Usage: `resilience [--quick] [--seeds K] [--jobs N] [--faults <intensity>]
 //! [--telemetry <path.jsonl>] [--sample-interval <secs>] [--trace <N>]`
 //!
 //! `--faults` pins a single intensity instead of the default sweep.
@@ -37,7 +37,6 @@ fn main() {
     };
     let mut base = base;
     base.jobs = cli::parse_jobs(&args);
-    base.shards = cli::parse_shards(&args);
     base.stream_stats = cli::parse_stream_stats(&args);
     let intensities = match cli::parse_faults(&args) {
         Some(x) => vec![x],

@@ -1,11 +1,7 @@
 //! Validates Theorem 4.1 (exponential improvement of b-way forwarding)
 //! and Lemma A.1 (the fixed point) against the supermarket model.
 //!
-//! Usage: `thm41 [--quick] [--jobs N] [--shards S]`
-//!
-//! `--shards` is accepted for sweep-script uniformity but ignored (and
-//! says so on stderr): this binary runs no event loop, so there is
-//! nothing to shard and output is identical with or without it.
+//! Usage: `thm41 [--quick] [--jobs N]`
 
 use std::path::Path;
 
@@ -16,10 +12,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = ert_experiments::cli::parse_jobs(&args).unwrap_or_else(ert_par::default_jobs);
-    // Accepted for CLI uniformity with the sweep binaries; this binary
-    // runs no event loop, so there is nothing for the shard count to
-    // partition and any value leaves the output untouched.
-    ert_experiments::cli::warn_shards_ignored("thm41", &args);
     let (lambdas, n, horizon) = if quick {
         (thm41::quick_lambdas(), 200, 800.0)
     } else {

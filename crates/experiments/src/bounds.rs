@@ -16,17 +16,13 @@ use crate::report::{fnum, Table};
 /// optionally runs a lookup burst (exercising adaptation), and checks
 /// every node's `d^∞` against Theorem 3.1's envelope.
 ///
-/// `shards` selects the event core (`0` = legacy single loop); the
-/// verdict is byte-identical for every value.
-///
 /// Returns `(table, all_within)`.
-pub fn theorem31_check(n: usize, gamma_c: f64, seed: u64, shards: usize) -> (Table, bool) {
+pub fn theorem31_check(n: usize, gamma_c: f64, seed: u64) -> (Table, bool) {
     let mut rng = SimRng::seed_from(seed);
     let capacities = BoundedPareto::paper_default().sample_n(n, &mut rng);
     let dim = CycloidSpace::dimension_for(n);
     let mut cfg = NetworkConfig::for_dimension(dim, seed);
     cfg.estimator = Estimator::new(gamma_c, 1.0);
-    cfg.shards = shards;
     let net = Network::new(cfg, &capacities, ProtocolSpec::ert_af()).expect("valid network");
     let topo = net.topology();
     let alpha = topo.params.alpha;
@@ -113,12 +109,11 @@ pub fn theorem32_convergence(cases: &[(f64, f64)], params: &ErtParams) -> (Table
 /// against Theorem 3.2's envelope with the *measured* per-inlink rate
 /// extremes. Observational: short runs have not converged, so the
 /// within-fraction is informative rather than a pass/fail bound.
-pub fn theorem32_check(n: usize, lookups: usize, seed: u64, shards: usize) -> Table {
+pub fn theorem32_check(n: usize, lookups: usize, seed: u64) -> Table {
     let mut rng = SimRng::seed_from(seed);
     let capacities = BoundedPareto::paper_default().sample_n(n, &mut rng);
     let dim = CycloidSpace::dimension_for(n);
-    let mut cfg = NetworkConfig::for_dimension(dim, seed);
-    cfg.shards = shards;
+    let cfg = NetworkConfig::for_dimension(dim, seed);
     let mut net = Network::new(cfg, &capacities, ProtocolSpec::ert_af()).expect("valid network");
     let schedule = uniform_lookup_burst(lookups, n as f64, seed);
     let report = net.run(&schedule, &[]);
@@ -168,12 +163,11 @@ pub fn theorem32_check(n: usize, lookups: usize, seed: u64, shards: usize) -> Ta
 /// Theorem 3.3 (observational): the maximum Cycloid outdegree stays
 /// under the `2·γ_c·γ_l·c_max/ν_min` leading term, using the measured
 /// per-inlink rate floor.
-pub fn theorem33_check(n: usize, lookups: usize, seed: u64, shards: usize) -> (Table, bool) {
+pub fn theorem33_check(n: usize, lookups: usize, seed: u64) -> (Table, bool) {
     let mut rng = SimRng::seed_from(seed);
     let capacities = BoundedPareto::paper_default().sample_n(n, &mut rng);
     let dim = CycloidSpace::dimension_for(n);
-    let mut cfg = NetworkConfig::for_dimension(dim, seed);
-    cfg.shards = shards;
+    let cfg = NetworkConfig::for_dimension(dim, seed);
     let mut net = Network::new(cfg, &capacities, ProtocolSpec::ert_af()).expect("valid network");
     let schedule = uniform_lookup_burst(lookups, n as f64, seed);
     let report = net.run(&schedule, &[]);
@@ -219,13 +213,13 @@ mod tests {
 
     #[test]
     fn theorem31_holds_with_exact_estimation() {
-        let (t, ok) = theorem31_check(128, 1.0, 31, 0);
+        let (t, ok) = theorem31_check(128, 1.0, 31);
         assert!(ok, "{}", t.render());
     }
 
     #[test]
     fn theorem31_holds_with_estimation_error() {
-        let (t, ok) = theorem31_check(128, 1.5, 32, 0);
+        let (t, ok) = theorem31_check(128, 1.5, 32);
         assert!(ok, "{}", t.render());
     }
 
@@ -252,7 +246,7 @@ mod tests {
 
     #[test]
     fn theorem33_outdegree_under_bound() {
-        let (t, ok) = theorem33_check(160, 300, 34, 2);
+        let (t, ok) = theorem33_check(160, 300, 34);
         assert!(ok, "{}", t.render());
     }
 
@@ -261,7 +255,7 @@ mod tests {
         // Short runs have not converged, so the within-fraction swings
         // widely with the RNG stream; seed 50 sits far above the 50%
         // line.
-        let t = theorem32_check(128, 250, 50, 0);
+        let t = theorem32_check(128, 250, 50);
         let pct: f64 = t.rows[0][6].parse().unwrap();
         assert!(pct > 50.0, "{}", t.render());
     }

@@ -9,12 +9,6 @@
 //!   default is every available core, and any value produces
 //!   byte-identical output (see `ert-par`; `--jobs 1` is the
 //!   sequential reference);
-//! - `--shards <S>` — shard count for the shared-nothing sharded
-//!   event core (see `ert_sim::ShardedEngine`); `0`/absent selects the
-//!   legacy single event loop, and any value is byte-identical to it.
-//!   Binaries that run no event loop (`fig6`, `thm41`) still accept
-//!   the flag for sweep-script uniformity but warn on stderr that it
-//!   is ignored ([`warn_shards_ignored`]);
 //! - `--faults <intensity>` — chaos intensity in `[0, 1]` for the
 //!   binaries that support fault injection (this one *does* change
 //!   output — it changes the experiment, not the evaluation);
@@ -170,48 +164,6 @@ pub fn jobs_from_env() -> Option<usize> {
     parse_jobs(&std::env::args().collect::<Vec<_>>())
 }
 
-/// Parses the `--shards <S>` knob shared by every binary: the shard
-/// count for the shared-nothing sharded event core (see
-/// `ert_sim::ShardedEngine`). Absent, malformed, or zero values read
-/// as "legacy single event loop" ([`Scenario::shards`] = `0`). Any
-/// value yields byte-identical output — `--shards 1` runs the sharded
-/// core degenerately and still matches the legacy path byte for byte
-/// (pinned by `tests/shard_determinism.rs`).
-pub fn parse_shards(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0)
-}
-
-/// [`parse_shards`] over this process's arguments.
-pub fn shards_from_env() -> usize {
-    parse_shards(&std::env::args().collect::<Vec<_>>())
-}
-
-/// Whether `--shards` appears in the argument list at all (with or
-/// without a usable value). Distinct from [`parse_shards`], which
-/// folds malformed values into "legacy" — the warning below should
-/// fire on any attempt to pass the flag.
-pub fn shards_flag_present(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--shards")
-}
-
-/// For binaries with no event loop to shard (`fig6`, `thm41`): accept
-/// `--shards` for sweep-script uniformity but tell the user on stderr
-/// that it cannot do anything here. Output bytes are unaffected either
-/// way (the uniform contract above), so this is a warning, not an
-/// error.
-pub fn warn_shards_ignored(binary: &str, args: &[String]) {
-    if shards_flag_present(args) {
-        eprintln!(
-            "[{binary}] note: --shards ignored — this binary runs no event loop, \
-             so there is nothing to shard; output is identical with or without it"
-        );
-    }
-}
-
 /// Parses the `--faults <intensity>` knob shared by binaries that
 /// support fault injection: a chaos intensity in `[0, 1]` fed to
 /// [`Scenario::chaos`] (see `ert-faults`). Absent, malformed, or
@@ -280,27 +232,6 @@ mod tests {
         assert_eq!(parse_jobs(&args(&["fig4", "--jobs", "0"])), None);
         assert_eq!(parse_jobs(&args(&["fig4", "--jobs", "lots"])), None);
         assert_eq!(parse_jobs(&args(&["fig4", "--jobs"])), None);
-    }
-
-    #[test]
-    fn shards_flag_parses_and_defaults_to_legacy() {
-        assert_eq!(parse_shards(&args(&["fig4"])), 0);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards", "4"])), 4);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards", "1"])), 1);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards", "0"])), 0);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards", "many"])), 0);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards"])), 0);
-    }
-
-    #[test]
-    fn shards_presence_is_detected_even_when_malformed() {
-        assert!(!shards_flag_present(&args(&["fig6"])));
-        assert!(shards_flag_present(&args(&["fig6", "--shards", "4"])));
-        assert!(shards_flag_present(&args(&["fig6", "--shards", "many"])));
-        assert!(shards_flag_present(&args(&["fig6", "--shards"])));
-        // The warning fires exactly on presence; parse_shards still
-        // reads the same list as legacy for malformed values.
-        assert_eq!(parse_shards(&args(&["fig6", "--shards", "many"])), 0);
     }
 
     #[test]

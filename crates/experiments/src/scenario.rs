@@ -93,13 +93,6 @@ pub struct Scenario {
     /// exact; interior percentiles are estimates within the tolerance
     /// band `ert-testkit` pins. Off by default.
     pub stream_stats: bool,
-    /// Shard count for the shared-nothing sharded event core
-    /// (`--shards S`, see [`NetworkConfig::shards`]). Zero — the
-    /// default — keeps the legacy single event loop. Any value yields
-    /// byte-identical reports; the knob buys memory locality and
-    /// per-shard parallel sweep/adaptation passes at scale.
-    #[serde(default)]
-    pub shards: usize,
 }
 
 /// A fanned-out run that failed, named after its coordinates in the
@@ -263,7 +256,6 @@ impl Scenario {
             adversary: None,
             jobs: None,
             stream_stats: false,
-            shards: 0,
         }
     }
 
@@ -281,7 +273,6 @@ impl Scenario {
             adversary: None,
             jobs: None,
             stream_stats: false,
-            shards: 0,
         }
     }
 
@@ -365,7 +356,6 @@ impl Scenario {
         let mut cfg = NetworkConfig::for_dimension(dim, seed)
             .with_light_service_secs(self.light_service_secs);
         cfg.stream_stats = self.stream_stats;
-        cfg.shards = self.shards;
         tweak(&mut cfg);
         let rate = self.per_node_rate * self.n as f64;
         let mut wl_rng = rng.fork("lookups");

@@ -36,9 +36,9 @@ pub const UNBOUNDED_COLLECTOR: &str = "unbounded-collector";
 /// name and the waiver plumbing.
 pub const TRANSITIVE_PANIC: &str = "transitive-panic";
 /// Rule D10: shared mutable state (`static mut`, locks, atomics,
-/// interior mutability) in the crates the shared-nothing sharded core
-/// will split. The sharded refactor is only safe if these crates hold
-/// no cross-shard state today.
+/// interior mutability) in the simulation crates. `ert-par` runs many
+/// `Network`s on worker threads at once, so hidden state shared between
+/// them would make output depend on thread scheduling.
 pub const SHARED_STATE: &str = "shared-state";
 /// Rule D11: an `ert-lint: allow` that waives nothing. A stale waiver
 /// is a hole in the ledger — the next real violation on that line would
@@ -103,10 +103,11 @@ const D6_CRATES: &[&str] = &["ert-faults"];
 /// carry a justified suppression naming the bound.
 const D8_FILES: &[&str] = &["crates/sim/src/engine.rs", "crates/network/src/network.rs"];
 
-/// Crates the shared-nothing sharded core (ROADMAP item 1) will split
-/// into per-shard instances (rule D10). Any shared mutable state here
-/// is a blocker for that refactor, so it must be absent or carry a
-/// justification that names its single-threaded invariant.
+/// Crates whose state `ert-par` instantiates once per worker-thread
+/// run (rule D10). Shared mutable state here would couple concurrent
+/// runs and let thread scheduling leak into output, so it must be
+/// absent or carry a justification that names its single-threaded
+/// invariant.
 const D10_CRATES: &[&str] = &["ert-sim", "ert-network", "ert-core"];
 
 /// Type names whose appearance in a D10 crate means cross-thread or
@@ -454,8 +455,8 @@ fn run_rules(tokens: &[Token], ctx: &FileContext) -> Vec<Violation> {
                     SHARED_STATE,
                     line,
                     format!(
-                        "`{t}` is shared/interior-mutable state in `{}`; the shared-nothing \
-                         sharded core requires these crates to hold none — restructure, or \
+                        "`{t}` is shared/interior-mutable state in `{}`; concurrent `ert-par` \
+                         runs require these crates to hold none — restructure, or \
                          justify with `ert-lint: allow(shared-state)` naming the \
                          single-threaded invariant",
                         ctx.crate_name
@@ -469,8 +470,8 @@ fn run_rules(tokens: &[Token], ctx: &FileContext) -> Vec<Violation> {
                     SHARED_STATE,
                     line,
                     format!(
-                        "atomic `{t}` in `{}`; cross-thread state is a blocker for the \
-                         shared-nothing sharded core",
+                        "atomic `{t}` in `{}`; cross-thread state would let thread \
+                         scheduling leak into concurrent `ert-par` runs",
                         ctx.crate_name
                     ),
                 );
@@ -488,7 +489,7 @@ fn run_rules(tokens: &[Token], ctx: &FileContext) -> Vec<Violation> {
                 push(
                     SHARED_STATE,
                     line,
-                    "`thread_local!` hides per-thread state from the shard boundary; \
+                    "`thread_local!` ties state to whichever worker thread runs it; \
                      pass state explicitly"
                         .into(),
                 );

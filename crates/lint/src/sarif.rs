@@ -26,7 +26,7 @@ fn describe(rule: &str) -> &'static str {
         "raw-thread" => "Raw thread spawning outside the ert-par pool",
         "unbounded-collector" => "Unbounded sample accumulation in streaming hot loops",
         "transitive-panic" => "Panic reachable from a hot-path root through the call graph",
-        "shared-state" => "Shared mutable state in the crates the sharded core will split",
+        "shared-state" => "Shared mutable state in crates that concurrent ert-par runs instantiate",
         "stale-allow" => "An ert-lint allow comment that no longer waives anything",
         "suppression" => "Malformed ert-lint suppression comment",
         _ => "ert-lint rule",

@@ -76,14 +76,6 @@ pub struct NetworkConfig {
     /// within the tolerance band `ert-testkit` pins. Off by default:
     /// paper runs keep exact percentiles and byte-identical reports.
     pub stream_stats: bool,
-    /// Shard count for the shared-nothing sharded event core. Zero —
-    /// the default — keeps the legacy single global event loop; any
-    /// `S >= 1` runs the same simulation on [`ert_sim::ShardedEngine`]
-    /// with the node population partitioned by ID-space prefix.
-    /// Reports are byte-identical for every value of this knob (pinned
-    /// by `tests/shard_determinism.rs`).
-    #[serde(default)]
-    pub shards: usize,
 }
 
 impl NetworkConfig {
@@ -106,7 +98,6 @@ impl NetworkConfig {
             stabilization: false,
             retry: RetryPolicy::default(),
             stream_stats: false,
-            shards: 0,
         }
     }
 
@@ -144,9 +135,6 @@ impl NetworkConfig {
         self.retry
             .validate()
             .map_err(|e| format!("retry policy: {e}"))?;
-        if self.shards > 4096 {
-            return Err("shard count above 4096 is surely a typo".into());
-        }
         Ok(())
     }
 }

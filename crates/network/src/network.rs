@@ -9,10 +9,7 @@ use ert_core::{
 };
 use ert_faults::{FaultEvent, FaultKind, FaultPlan};
 use ert_overlay::{Coord, CycloidId, CycloidSpace};
-use ert_sim::{
-    Engine, SampleClock, ShardMap, ShardStats, ShardedEngine, SimDuration, SimRng, SimTime,
-    TraceLog,
-};
+use ert_sim::{Engine, SampleClock, SimDuration, SimRng, SimTime, TraceLog};
 use ert_telemetry::{Snapshot, Telemetry, TelemetryEvent};
 use rand::Rng;
 
@@ -66,74 +63,6 @@ enum Event {
     /// mutation), so sampled and unsampled runs produce identical
     /// reports.
     Sample,
-}
-
-/// The event core driving one run: the legacy single global event loop
-/// (`cfg.shards == 0`) or the shared-nothing sharded core
-/// (`cfg.shards >= 1`, see [`ert_sim::ShardedEngine`]).
-///
-/// Shard routing is an *affinity* decision, never a correctness one:
-/// the sharded engine merges all shards under the same global
-/// `(time, seq)` key the single queue uses, so whichever shard an
-/// event lands on, the pop sequence — and therefore the run report —
-/// is byte-identical to the legacy path. Data-plane events follow the
-/// ID-space partition ([`Network::shard_of_event`]); control-plane
-/// events (injection, churn, faults, adversaries, adaptation,
-/// sampling) run on shard 0.
-#[derive(Debug)]
-enum Reactor {
-    /// One global event queue — the pre-sharding engine, untouched.
-    Single(Engine<Event>),
-    /// S shard reactors with bounded cross-shard mailboxes, plus the
-    /// static key→shard prefix partition.
-    Sharded {
-        engine: ShardedEngine<Event>,
-        map: ShardMap,
-    },
-}
-
-impl Reactor {
-    fn schedule_at(&mut self, time: SimTime, shard: usize, ev: Event) {
-        match self {
-            Reactor::Single(e) => e.schedule_at(time, ev),
-            Reactor::Sharded { engine, .. } => engine.schedule_at(time, shard, ev),
-        }
-    }
-
-    fn schedule_in(&mut self, delay: SimDuration, shard: usize, ev: Event) {
-        match self {
-            Reactor::Single(e) => e.schedule_in(delay, ev),
-            Reactor::Sharded { engine, .. } => engine.schedule_in(delay, shard, ev),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match self {
-            Reactor::Single(e) => e.pop(),
-            Reactor::Sharded { engine, .. } => engine.pop(),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            Reactor::Single(e) => e.now(),
-            Reactor::Sharded { engine, .. } => engine.now(),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Reactor::Single(e) => e.events_processed(),
-            Reactor::Sharded { engine, .. } => engine.events_processed(),
-        }
-    }
-
-    fn shard_stats(&self) -> Option<ShardStats> {
-        match self {
-            Reactor::Single(_) => None,
-            Reactor::Sharded { engine, .. } => Some(engine.shard_stats()),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -232,13 +161,7 @@ pub struct Network {
     cfg: NetworkConfig,
     protocol: ProtocolSpec,
     topo: Topology,
-    reactor: Reactor,
-    /// Shard affinity per host (empty on the legacy single engine):
-    /// the shard owning the ring position of the host's first overlay
-    /// node. Service-completion events follow it. Pure locality — a
-    /// stale entry (e.g. after an item-movement rejoin) costs a
-    /// cross-shard message, never correctness.
-    host_shard: Vec<usize>,
+    engine: Engine<Event>,
     queries: Vec<QueryState>,
     lookups: Vec<Lookup>,
     metrics: Metrics,
@@ -374,27 +297,11 @@ impl Network {
         }
 
         let alive_hosts = (0..topo.hosts.len()).collect();
-        let (reactor, host_shard) = if cfg.shards == 0 {
-            (Reactor::Single(Engine::new()), Vec::new())
-        } else {
-            let map = ShardMap::new(cfg.shards);
-            let host_shard = (0..topo.hosts.len())
-                .map(|h| host_shard_for(&topo, &map, h))
-                .collect();
-            (
-                Reactor::Sharded {
-                    engine: ShardedEngine::new(cfg.shards),
-                    map,
-                },
-                host_shard,
-            )
-        };
         Ok(Network {
             cfg,
             protocol,
             topo,
-            reactor,
-            host_shard,
+            engine: Engine::new(),
             queries: Vec::new(),
             lookups: Vec::new(),
             metrics: Metrics::for_mode(cfg.stream_stats),
@@ -472,105 +379,12 @@ impl Network {
     /// Total engine events processed so far. `ert-bench` divides this
     /// by wall time for the committed hot-loop throughput trajectory.
     pub fn events_processed(&self) -> u64 {
-        self.reactor.events_processed()
+        self.engine.events_processed()
     }
 
     /// Completed indegree-adaptation rounds so far.
     pub fn adapt_rounds(&self) -> u64 {
         self.adapt_rounds
-    }
-
-    /// Cross-shard traffic counters of the sharded core, `None` on the
-    /// legacy single event loop. Deliberately *not* part of
-    /// [`RunReport`]: reports are pinned byte-identical across shard
-    /// counts, so shard-dependent observability lives on this side
-    /// channel.
-    pub fn shard_stats(&self) -> Option<ShardStats> {
-        self.reactor.shard_stats()
-    }
-
-    /// Routes an event to its owning shard (0 on the single engine).
-    ///
-    /// Data-plane events follow the ID-space partition: an arrival
-    /// belongs to the shard owning the destination ID, a service
-    /// completion to the serving host's shard, a retry to the shard of
-    /// the node holding the query. Control-plane events (injection,
-    /// churn, faults, adversaries, adaptation, sampling) run on shard
-    /// 0. Routing is pure affinity — the merge key makes any total
-    /// routing function produce the identical pop sequence.
-    fn shard_of_event(&self, ev: &Event) -> usize {
-        let Reactor::Sharded { map, .. } = &self.reactor else {
-            return 0;
-        };
-        let ring = self.topo.space.ring_size();
-        match ev {
-            Event::Arrive { to, .. } => map.shard_of(self.topo.space.lin(*to), ring),
-            Event::ServiceDone { host, .. } => self.host_shard.get(*host).copied().unwrap_or(0),
-            Event::Retry { q } => {
-                let id = self.topo.nodes[self.queries[*q].at_node].id;
-                map.shard_of(self.topo.space.lin(id), ring)
-            }
-            Event::Inject(_)
-            | Event::AdaptTick
-            | Event::Churn(_)
-            | Event::Fault(_)
-            | Event::Adversary(_)
-            | Event::Sample => 0,
-        }
-    }
-
-    /// Schedules `ev` at absolute time `time` on its owning shard.
-    fn schedule_event(&mut self, time: SimTime, ev: Event) {
-        let shard = self.shard_of_event(&ev);
-        self.reactor.schedule_at(time, shard, ev);
-    }
-
-    /// Schedules `ev` after `delay` on its owning shard.
-    fn schedule_event_in(&mut self, delay: SimDuration, ev: Event) {
-        let shard = self.shard_of_event(&ev);
-        self.reactor.schedule_in(delay, shard, ev);
-    }
-
-    /// Host and node index slices owned by each shard, for the
-    /// per-shard sweep and adaptation passes. Hosts follow their
-    /// recorded affinity; nodes follow the ID-space partition directly.
-    fn shard_partitions(&self) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        let Reactor::Sharded { map, .. } = &self.reactor else {
-            return (Vec::new(), Vec::new());
-        };
-        let s = map.shards();
-        let mut host_parts = vec![Vec::new(); s];
-        for (h, &sh) in self.host_shard.iter().enumerate() {
-            host_parts[sh].push(h);
-        }
-        let ring = self.topo.space.ring_size();
-        let mut node_parts = vec![Vec::new(); s];
-        for (n, node) in self.topo.nodes.iter().enumerate() {
-            node_parts[map.shard_of(self.topo.space.lin(node.id), ring)].push(n);
-        }
-        (host_parts, node_parts)
-    }
-
-    /// Dispatches the degree sweep: sequential on the single engine,
-    /// per-shard (evaluated on the `ert-par` pool, then merged) on the
-    /// sharded core.
-    fn run_sweep(&mut self) {
-        let gamma_c = self.cfg.estimator.gamma_c();
-        match &self.reactor {
-            Reactor::Single(_) => self.sanitizer.sweep(&self.topo, gamma_c, self.relax),
-            Reactor::Sharded { .. } => {
-                let (host_parts, node_parts) = self.shard_partitions();
-                let workers = host_parts.len().min(ert_par::default_jobs()).max(1);
-                self.sanitizer.sweep_sharded(
-                    &self.topo,
-                    gamma_c,
-                    self.relax,
-                    &host_parts,
-                    &node_parts,
-                    workers,
-                );
-            }
-        }
     }
 
     /// Runs the schedule to completion and digests the metrics.
@@ -637,14 +451,14 @@ impl Network {
         self.lookups = lookups.to_vec();
         self.injections_left = lookups.len() as u64;
         for (i, l) in lookups.iter().enumerate() {
-            self.schedule_event(l.at, Event::Inject(i));
+            self.engine.schedule_at(l.at, Event::Inject(i));
         }
         // Equal-time churn events apply in canonical order, not slice
         // order (at distinct timestamps the sort changes nothing).
         let mut churn_sorted = churn.to_vec();
         churn_sorted.sort_by_key(ChurnEvent::sort_key);
         for (i, c) in churn_sorted.iter().enumerate() {
-            self.schedule_event(c.at(), Event::Churn(i));
+            self.engine.schedule_at(c.at(), Event::Churn(i));
         }
         self.churn_schedule = churn_sorted;
         if !plan.is_empty() {
@@ -654,7 +468,8 @@ impl Network {
             self.rng_faults = SimRng::seed_from(self.cfg.seed.rotate_left(17) ^ plan.seed);
             self.fault_schedule = plan.sorted_events();
             for i in 0..self.fault_schedule.len() {
-                self.schedule_event(self.fault_schedule[i].at, Event::Fault(i));
+                self.engine
+                    .schedule_at(self.fault_schedule[i].at, Event::Fault(i));
             }
         }
         if !adversary.is_empty() {
@@ -665,19 +480,20 @@ impl Network {
             self.relax = EnvelopeRelaxations::from_plan(adversary);
             self.adversary_schedule = adversary.sorted_events();
             for i in 0..self.adversary_schedule.len() {
-                self.schedule_event(self.adversary_schedule[i].at, Event::Adversary(i));
+                self.engine
+                    .schedule_at(self.adversary_schedule[i].at, Event::Adversary(i));
             }
         }
         if self.protocol.adaptation || self.protocol.item_movement || self.cfg.stabilization {
-            self.schedule_event_in(self.cfg.ert.adaptation_period, Event::AdaptTick);
+            self.engine
+                .schedule_in(self.cfg.ert.adaptation_period, Event::AdaptTick);
         }
         self.sample_clock = SampleClock::new(self.cfg.sample_interval);
         if let Some(clock) = &self.sample_clock {
-            let at = clock.next_at();
-            self.schedule_event(at, Event::Sample);
+            self.engine.schedule_at(clock.next_at(), Event::Sample);
         }
 
-        while let Some((now, event)) = self.reactor.pop() {
+        while let Some((now, event)) = self.engine.pop() {
             self.sanitizer.on_event(now);
             match event {
                 Event::Inject(i) => self.on_inject(i, now),
@@ -701,14 +517,15 @@ impl Network {
                 break;
             }
         }
-        self.run_sweep();
+        self.sanitizer
+            .sweep(&self.topo, self.cfg.estimator.gamma_c(), self.relax);
         self.telemetry.flush();
         let mut metrics = std::mem::take(&mut self.metrics);
         metrics.maintenance_ops = self.topo.link_ops;
         metrics.into_report(
             &self.protocol.name,
             &self.topo.hosts,
-            self.reactor.now().as_secs_f64(),
+            self.engine.now().as_secs_f64(),
         )
     }
 
@@ -805,7 +622,7 @@ impl Network {
                             q: q as u64,
                             successor: succ_lin,
                         });
-                        self.schedule_event(
+                        self.engine.schedule_at(
                             now + self.cfg.timeout_penalty,
                             Event::Arrive { q, to: successor },
                         );
@@ -865,7 +682,8 @@ impl Network {
                 SimDuration::from_micros((service.as_micros() as f64 * degrade).round() as u64);
         }
         host.busy_micros += service.as_micros();
-        self.schedule_event(now + service, Event::ServiceDone { host: host_idx, q });
+        self.engine
+            .schedule_at(now + service, Event::ServiceDone { host: host_idx, q });
     }
 
     fn on_service_done(&mut self, host_idx: usize, q: usize, now: SimTime) {
@@ -922,7 +740,7 @@ impl Network {
                         q: q as u64,
                         successor: succ_lin,
                     });
-                    self.schedule_event(
+                    self.engine.schedule_at(
                         now + self.cfg.timeout_penalty,
                         Event::Arrive { q, to: successor },
                     )
@@ -962,7 +780,8 @@ impl Network {
         let me = self.topo.nodes[self.queries[q].at_node].id;
         let latency =
             SimDuration::from_secs_f64(self.cfg.latency_scale * self.topo.phys_dist(me, next));
-        self.schedule_event(now + latency, Event::Arrive { q, to: next });
+        self.engine
+            .schedule_at(now + latency, Event::Arrive { q, to: next });
     }
 
     fn complete_query(&mut self, q: usize, now: SimTime) {
@@ -1242,7 +1061,8 @@ impl Network {
         let latency =
             SimDuration::from_secs_f64(self.cfg.latency_scale * self.topo.phys_dist(me, next))
                 + penalty;
-        self.schedule_event(now + latency, Event::Arrive { q, to: next });
+        self.engine
+            .schedule_at(now + latency, Event::Arrive { q, to: next });
     }
 
     fn on_arrive(&mut self, q: usize, to: CycloidId, now: SimTime) {
@@ -1258,17 +1078,14 @@ impl Network {
         self.telemetry
             .emit(now, || TelemetryEvent::AdaptTick { round });
         if self.protocol.table == TablePolicy::Elastic && self.protocol.adaptation {
-            // Decide-then-apply: every node's action is a pure function
-            // of its host's (period_load, capacity_eval), and applying
-            // an action mutates only the acting node's indegree and its
-            // peers' *out*degrees — never another node's decision
-            // inputs or indegree. Decisions therefore commute with
-            // application, and the sharded core computes them per shard
-            // in parallel while applying them in global node order,
-            // byte-identical to the legacy inline loop.
-            for (node, action) in self.adapt_decisions() {
+            for node in 0..self.topo.nodes.len() {
+                if !self.topo.nodes[node].alive {
+                    continue;
+                }
                 let host = self.topo.nodes[node].host;
-                match action {
+                let load = self.topo.hosts[host].period_load as f64;
+                let capacity = self.topo.hosts[host].capacity_eval as f64;
+                match adaptation_action(load, capacity, &self.cfg.ert) {
                     AdaptAction::Keep => {}
                     AdaptAction::Shed(x) => {
                         let x = x.min(self.topo.nodes[node].table.indegree() as u32);
@@ -1307,53 +1124,14 @@ impl Network {
                 }
             }
         }
-        self.run_sweep();
+        self.sanitizer
+            .sweep(&self.topo, self.cfg.estimator.gamma_c(), self.relax);
         for h in &mut self.topo.hosts {
             h.period_load = 0;
         }
         if self.injections_left > 0 || self.outstanding > 0 {
-            self.schedule_event_in(self.cfg.ert.adaptation_period, Event::AdaptTick);
-        }
-    }
-
-    /// Computes the adaptation action for every alive node. Sequential
-    /// on the single engine; on the sharded core each shard decides for
-    /// its own node slice in parallel on the `ert-par` ordered pool,
-    /// and the per-shard results are merged back into global node
-    /// order. The decision is a pure read of `(period_load,
-    /// capacity_eval, cfg.ert)`, so shard-parallel evaluation is
-    /// order-free and the merged list equals the sequential one.
-    fn adapt_decisions(&self) -> Vec<(usize, AdaptAction)> {
-        fn decide(n: usize, topo: &Topology, cfg: &NetworkConfig) -> Option<(usize, AdaptAction)> {
-            let node = &topo.nodes[n];
-            if !node.alive {
-                return None;
-            }
-            let host = &topo.hosts[node.host];
-            match adaptation_action(host.period_load as f64, host.capacity_eval as f64, &cfg.ert) {
-                AdaptAction::Keep => None,
-                act => Some((n, act)),
-            }
-        }
-        match &self.reactor {
-            Reactor::Single(_) => (0..self.topo.nodes.len())
-                .filter_map(|n| decide(n, &self.topo, &self.cfg))
-                .collect(),
-            Reactor::Sharded { .. } => {
-                let (_, node_parts) = self.shard_partitions();
-                let workers = node_parts.len().min(ert_par::default_jobs()).max(1);
-                let topo = &self.topo;
-                let cfg = &self.cfg;
-                let per_shard = ert_par::map_ordered(workers, node_parts, |nodes| {
-                    nodes
-                        .into_iter()
-                        .filter_map(|n| decide(n, topo, cfg))
-                        .collect::<Vec<_>>()
-                });
-                let mut all: Vec<(usize, AdaptAction)> = per_shard.into_iter().flatten().collect();
-                all.sort_by_key(|&(n, _)| n);
-                all
-            }
+            self.engine
+                .schedule_in(self.cfg.ert.adaptation_period, Event::AdaptTick);
         }
     }
 
@@ -1512,8 +1290,7 @@ impl Network {
         if let Some(clock) = &mut self.sample_clock {
             clock.advance();
             if self.injections_left > 0 || self.outstanding > 0 {
-                let at = clock.next_at();
-                self.schedule_event(at, Event::Sample);
+                self.engine.schedule_at(clock.next_at(), Event::Sample);
             }
         }
     }
@@ -1544,10 +1321,6 @@ impl Network {
         let node = self.topo.add_node(id, host, d_max);
         self.topo.build_node_table(node, &mut self.rng_topology);
         self.alive_hosts.push(host);
-        if let Reactor::Sharded { map, .. } = &self.reactor {
-            self.host_shard
-                .push(map.shard_of(self.topo.space.lin(id), self.topo.space.ring_size()));
-        }
         let node_lin = self.topo.space.lin(id);
         self.telemetry
             .emit(now, || TelemetryEvent::NodeJoined { node: node_lin });
@@ -1591,7 +1364,7 @@ impl Network {
                         q: q as u64,
                         successor: succ_lin,
                     });
-                    self.schedule_event(
+                    self.engine.schedule_at(
                         now + self.cfg.timeout_penalty,
                         Event::Arrive { q, to: successor },
                     )
@@ -1734,10 +1507,6 @@ impl Network {
             let node = self.topo.add_node(id, host, d_max);
             self.topo.build_node_table(node, &mut self.rng_adversary);
             self.alive_hosts.push(host);
-            if let Reactor::Sharded { map, .. } = &self.reactor {
-                self.host_shard
-                    .push(map.shard_of(self.topo.space.lin(id), self.topo.space.ring_size()));
-            }
             let node_lin = self.topo.space.lin(id);
             self.telemetry
                 .emit(now, || TelemetryEvent::NodeJoined { node: node_lin });
@@ -1768,7 +1537,7 @@ impl Network {
                 key: KeyPick::RingFraction(key),
             });
             self.injections_left += 1;
-            self.schedule_event(at, Event::Inject(idx));
+            self.engine.schedule_at(at, Event::Inject(idx));
         }
     }
 
@@ -1893,7 +1662,7 @@ impl Network {
             attempt,
         });
         let delay = self.cfg.timeout_penalty + self.cfg.retry.backoff(attempt);
-        self.schedule_event(now + delay, Event::Retry { q });
+        self.engine.schedule_at(now + delay, Event::Retry { q });
     }
 
     fn on_retry(&mut self, q: usize, now: SimTime) {
@@ -1911,16 +1680,6 @@ impl Network {
             self.deliver(q, id, now);
         }
     }
-}
-
-/// Shard affinity of a host: the shard owning the ring position of its
-/// first overlay node (hosts with no nodes pin to the control shard 0).
-fn host_shard_for(topo: &Topology, map: &ShardMap, host: usize) -> usize {
-    topo.hosts[host]
-        .nodes
-        .first()
-        .map(|&n| map.shard_of(topo.space.lin(topo.nodes[n].id), topo.space.ring_size()))
-        .unwrap_or(0)
 }
 
 fn node_d_max(protocol: &ProtocolSpec, host: &Host, alpha: f64) -> u32 {
@@ -1968,46 +1727,6 @@ mod tests {
         let mut net = Network::new(cfg, &capacities, spec).unwrap();
         let schedule = uniform_lookup_burst(lookups, 128.0, seed);
         net.run(&schedule, &[])
-    }
-
-    /// The tentpole contract in unit form: the sharded core produces a
-    /// byte-identical report for every shard count, including the
-    /// legacy `shards == 0` engine. (The full pin suite across workload
-    /// shapes and plans lives in `tests/shard_determinism.rs`.)
-    #[test]
-    fn sharded_runs_match_legacy_engine() {
-        let run = |shards: usize| {
-            let capacities = caps(96);
-            let mut cfg = NetworkConfig::for_dimension(6, 11);
-            cfg.shards = shards;
-            let mut net = Network::new(cfg, &capacities, ProtocolSpec::ert_af()).unwrap();
-            let schedule = uniform_lookup_burst(150, 96.0, 11);
-            let churn: Vec<ChurnEvent> = vec![
-                ChurnEvent::Leave {
-                    at: schedule[40].at,
-                },
-                ChurnEvent::Join {
-                    at: schedule[40].at,
-                    capacity: 1500.0,
-                },
-            ];
-            let report = format!("{:?}", net.run(&schedule, &churn));
-            (report, net.shard_stats())
-        };
-        let (legacy, no_stats) = run(0);
-        assert!(no_stats.is_none(), "legacy engine reports no shard stats");
-        for shards in [1, 2, 3, 8] {
-            let (sharded, stats) = run(shards);
-            assert_eq!(legacy, sharded, "report diverged at {shards} shards");
-            let stats = stats.expect("sharded run exposes stats");
-            assert!(stats.barrier_drains > 0);
-            if shards > 1 {
-                assert!(
-                    stats.cross_shard_messages > 0,
-                    "a multi-shard run must exchange cross-shard events"
-                );
-            }
-        }
     }
 
     #[test]

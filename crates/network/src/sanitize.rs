@@ -228,16 +228,43 @@ impl Sanitizer {
         if !Self::ACTIVE {
             return;
         }
+        let params = &topo.params;
+        // Mandatory Cycloid links (leaf-set, cyclic, cubical) sit outside
+        // the elastic budget; the theorems bury them in O(1)/O(2^d/d)
+        // terms, so the envelopes get an explicit structural slack. The
+        // extra constant covers saturated-fallback recruitment during
+        // table construction.
+        let slack = 2 * params.leaf_window as u64 + topo.space.dim() as u64 + 8;
+
         if relax.thm31.is_none() {
-            let all: Vec<usize> = (0..topo.hosts.len()).collect();
-            sweep_hosts(topo, gamma_c, &all);
+            for (i, host) in topo.hosts.iter().enumerate() {
+                if !host.alive {
+                    continue;
+                }
+                // Theorem 3.1: capacity_eval = ⌊0.5 + α·ĉ⌋ with ĉ within a
+                // factor γ_c of the true normalized capacity must land in
+                // [αc/γ_c − O(1), αcγ_c + O(1)] (the clamp to ≥ 1 only ever
+                // raises it toward the lower bound).
+                let (lo, hi) =
+                    theorem31_initial_indegree_bounds(params.alpha, host.norm_capacity, gamma_c);
+                let ce = host.capacity_eval as f64;
+                assert!(
+                    ce >= lo && ce <= hi,
+                    "sanitize: host {i} capacity_eval {ce} outside Theorem 3.1 envelope \
+                     [{lo:.2}, {hi:.2}] (α={}, c={}, γ_c={gamma_c})",
+                    params.alpha,
+                    host.norm_capacity
+                );
+            }
         }
+
         if topo.table_policy != TablePolicy::Elastic {
             // Degree elasticity (and Theorems 3.2/3.3) only applies to
             // ERT tables; Base/VS tables are structurally fixed.
             self.checks += 1;
             return;
         }
+
         let c_max = topo
             .hosts
             .iter()
@@ -245,138 +272,41 @@ impl Sanitizer {
             .map(|h| h.capacity_eval)
             .max()
             .unwrap_or(1);
-        let all: Vec<usize> = (0..topo.nodes.len()).collect();
-        sweep_nodes(topo, gamma_c, relax, c_max, &all);
-        self.checks += 1;
-    }
+        // Theorem 3.3 leading term with ν_min at one query per link per
+        // period (the implementation's accounting unit).
+        let out_bound =
+            theorem33_outdegree_bound(c_max as f64, gamma_c, params.gamma_l, 1.0) as u64 + slack;
 
-    /// The sharded form of [`Sanitizer::sweep`]: theorem envelopes are
-    /// evaluated per shard — each worker checks the host/node slices one
-    /// shard owns — and merged. The only cross-shard quantity is the
-    /// Theorem 3.3 `c_max`, which is computed as the max over per-shard
-    /// maxima before the node pass. Runs on the `ert-par` ordered worker
-    /// pool (the workspace's one sanctioned fan-out point, keeping D7
-    /// satisfied); every assertion is identical to the sequential sweep,
-    /// so a violation fails the run no matter which shard finds it.
-    pub(crate) fn sweep_sharded(
-        &mut self,
-        topo: &Topology,
-        gamma_c: f64,
-        relax: EnvelopeRelaxations,
-        host_shards: &[Vec<usize>],
-        node_shards: &[Vec<usize>],
-        workers: usize,
-    ) {
-        if !Self::ACTIVE {
-            return;
-        }
-        // Per-shard host pass: thm31 envelopes plus the shard-local
-        // capacity maximum (merged into the global c_max below).
-        let shard_maxima = ert_par::map_ordered(workers, host_shards.to_vec(), |hosts| {
-            if relax.thm31.is_none() {
-                sweep_hosts(topo, gamma_c, &hosts);
+        for (i, node) in topo.nodes.iter().enumerate() {
+            if !node.alive {
+                continue;
             }
-            hosts
-                .iter()
-                .map(|&h| &topo.hosts[h])
-                .filter(|h| h.alive)
-                .map(|h| h.capacity_eval)
-                .max()
-                .unwrap_or(0)
-        });
-        if topo.table_policy != TablePolicy::Elastic {
-            self.checks += 1;
-            return;
+            assert!(node.d_max >= 1, "sanitize: node {i} adapted d_max to zero");
+            // Theorem 3.2 enforcement: adaptation keeps the elastic
+            // indegree within a capacity-proportional band. The growth
+            // cap in `on_adapt_tick` is 8·max(capacity_eval, 8); links
+            // outside the elastic budget are covered by `slack`.
+            let host = &topo.hosts[node.host];
+            if relax.thm32.is_none() {
+                let in_cap = 8 * u64::from(host.capacity_eval.max(8)) + slack;
+                let ind = node.table.indegree() as u64;
+                assert!(
+                    ind <= in_cap,
+                    "sanitize: node {i} indegree {ind} exceeds adapted Theorem 3.2 cap {in_cap} \
+                     (capacity_eval {})",
+                    host.capacity_eval
+                );
+            }
+            if relax.thm33.is_none() {
+                let outd = node.table.outdegree() as u64;
+                assert!(
+                    outd <= out_bound,
+                    "sanitize: node {i} outdegree {outd} exceeds Theorem 3.3 bound {out_bound} \
+                     (c_max {c_max})"
+                );
+            }
         }
-        let c_max = shard_maxima.into_iter().max().unwrap_or(1).max(1);
-        // Per-shard node pass: thm32 caps and the thm33 ceiling, each
-        // shard over its own node slice.
-        ert_par::map_ordered(workers, node_shards.to_vec(), |nodes| {
-            sweep_nodes(topo, gamma_c, relax, c_max, &nodes);
-        });
         self.checks += 1;
-    }
-}
-
-/// Structural slack shared by the degree envelopes: mandatory Cycloid
-/// links (leaf-set, cyclic, cubical) sit outside the elastic budget;
-/// the theorems bury them in O(1)/O(2^d/d) terms, so the envelopes get
-/// an explicit allowance. The extra constant covers saturated-fallback
-/// recruitment during table construction.
-fn envelope_slack(topo: &Topology) -> u64 {
-    2 * topo.params.leaf_window as u64 + topo.space.dim() as u64 + 8
-}
-
-/// Theorem 3.1 envelope over one slice of host indices. Shared by the
-/// sequential sweep (one slice holding every host) and the sharded
-/// sweep (one slice per shard).
-fn sweep_hosts(topo: &Topology, gamma_c: f64, hosts: &[usize]) {
-    let params = &topo.params;
-    for &i in hosts {
-        let host = &topo.hosts[i];
-        if !host.alive {
-            continue;
-        }
-        // Theorem 3.1: capacity_eval = ⌊0.5 + α·ĉ⌋ with ĉ within a
-        // factor γ_c of the true normalized capacity must land in
-        // [αc/γ_c − O(1), αcγ_c + O(1)] (the clamp to ≥ 1 only ever
-        // raises it toward the lower bound).
-        let (lo, hi) = theorem31_initial_indegree_bounds(params.alpha, host.norm_capacity, gamma_c);
-        let ce = host.capacity_eval as f64;
-        assert!(
-            ce >= lo && ce <= hi,
-            "sanitize: host {i} capacity_eval {ce} outside Theorem 3.1 envelope \
-             [{lo:.2}, {hi:.2}] (α={}, c={}, γ_c={gamma_c})",
-            params.alpha,
-            host.norm_capacity
-        );
-    }
-}
-
-/// Theorem 3.2/3.3 envelopes over one slice of node indices, given the
-/// globally merged `c_max`.
-fn sweep_nodes(
-    topo: &Topology,
-    gamma_c: f64,
-    relax: EnvelopeRelaxations,
-    c_max: u32,
-    nodes: &[usize],
-) {
-    let params = &topo.params;
-    let slack = envelope_slack(topo);
-    // Theorem 3.3 leading term with ν_min at one query per link per
-    // period (the implementation's accounting unit).
-    let out_bound =
-        theorem33_outdegree_bound(c_max as f64, gamma_c, params.gamma_l, 1.0) as u64 + slack;
-    for &i in nodes {
-        let node = &topo.nodes[i];
-        if !node.alive {
-            continue;
-        }
-        assert!(node.d_max >= 1, "sanitize: node {i} adapted d_max to zero");
-        // Theorem 3.2 enforcement: adaptation keeps the elastic
-        // indegree within a capacity-proportional band. The growth
-        // cap in `on_adapt_tick` is 8·max(capacity_eval, 8); links
-        // outside the elastic budget are covered by `slack`.
-        let host = &topo.hosts[node.host];
-        if relax.thm32.is_none() {
-            let in_cap = 8 * u64::from(host.capacity_eval.max(8)) + slack;
-            let ind = node.table.indegree() as u64;
-            assert!(
-                ind <= in_cap,
-                "sanitize: node {i} indegree {ind} exceeds adapted Theorem 3.2 cap {in_cap} \
-                 (capacity_eval {})",
-                host.capacity_eval
-            );
-        }
-        if relax.thm33.is_none() {
-            let outd = node.table.outdegree() as u64;
-            assert!(
-                outd <= out_bound,
-                "sanitize: node {i} outdegree {outd} exceeds Theorem 3.3 bound {out_bound} \
-                 (c_max {c_max})"
-            );
-        }
     }
 }
 

@@ -2,8 +2,8 @@
 //! the lookup-issuing client.
 //!
 //! A [`WireCluster`] owns one [`WireNode`] per member and a single
-//! `(time, seq)`-ordered event heap — the same merge key the sharded
-//! simulator core uses — over four entry kinds: client injections,
+//! `(time, seq)`-ordered event heap — the same ordering key the
+//! simulator's `Engine` uses — over four entry kinds: client injections,
 //! in-flight frames, node timers, and client retries. Sequence numbers
 //! are allocated when work is emitted, so equal-timestamp events run in
 //! emission order exactly like the simulator's FIFO-stable engine; the

@@ -1,4 +1,4 @@
-//! The single-threaded node reactor.
+//! The single-threaded live node.
 //!
 //! A [`WireNode`] owns exactly the state one `MiniNode` holds inside
 //! the simulator — elastic table, service queue, adaptive bound — and

@@ -22,13 +22,6 @@
 //!   with their protocol and seed) while every other job still runs to
 //!   completion and returns its result intact.
 //!
-//! The sharded event core composes with this pool rather than
-//! replacing it: `ert-network`'s per-shard sweep passes (`--shards S`)
-//! fan shard-local maxima through [`map_ordered`] and reduce with a
-//! fixed-order fold, so `--jobs` and `--shards` can vary independently
-//! without perturbing a single output byte (see DESIGN.md "Sharded
-//! Core"; `tests/shard_determinism.rs` pins the combination).
-//!
 //! The pool is scoped: worker threads borrow the job list and join
 //! before [`run_labeled`] returns, so jobs may borrow from the caller's
 //! stack and no thread outlives the batch.
@@ -38,7 +31,7 @@
 // D10 mirror exception: ert-par IS the sanctioned fan-out point — the
 // per-slot Mutexes are the pool's claim/store handoff (held only around
 // take/store, never across a job), and ert-par sits outside the
-// shard-bound crates ert-lint scopes D10 to.
+// simulation crates ert-lint scopes D10 to.
 #![allow(clippy::disallowed_types)]
 
 use std::fmt;

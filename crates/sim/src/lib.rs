@@ -9,11 +9,6 @@
 //! * [`EventQueue`] and [`Engine`] — a monotone priority queue of events
 //!   with deterministic FIFO tie-breaking, and a thin driver that tracks
 //!   the current simulated clock.
-//! * [`ShardedEngine`] / [`ShardMap`] — the shared-nothing sharded
-//!   variant of the engine: S per-shard reactors exchanging cross-shard
-//!   events through bounded mailboxes, merged under the same canonical
-//!   `(time, seq)` key so the pop sequence is byte-identical to
-//!   [`Engine`] for any shard count.
 //! * [`SimRng`] — a seedable, stream-splittable ChaCha12 random number
 //!   generator so every experiment is reproducible from a single `u64`
 //!   seed.
@@ -66,7 +61,6 @@ mod event;
 mod process;
 mod rng;
 mod sample;
-pub mod shard;
 pub mod stats;
 mod time;
 mod trace;
@@ -76,6 +70,5 @@ pub use event::EventQueue;
 pub use process::PoissonProcess;
 pub use rng::SimRng;
 pub use sample::SampleClock;
-pub use shard::{ShardMap, ShardStats, ShardedEngine};
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceLog;

@@ -26,8 +26,8 @@ pub use ert_obs::{Digest, Record, StreamSummary, Summary};
 /// several quantiles at once should use [`Samples::summary`], which
 /// sorts once and reads every rank from the same scratch copy. Plain
 /// data with no interior mutability — `Samples` values live inside
-/// per-shard state in the sharded core, so the type must stay free of
-/// shared-state cells (lint discipline D10).
+/// `Network`s that `ert-par` runs concurrently on worker threads, so
+/// the type must stay free of shared-state cells (lint discipline D10).
 ///
 /// ```
 /// use ert_sim::stats::Samples;

@@ -11,7 +11,7 @@
 // D10 mirror exception: the in-memory sinks hand out Arc<Mutex<_>>
 // read handles on purpose (captured lines must stay readable after the
 // sink is boxed away), and ert-telemetry is observability plumbing
-// outside the shard-bound crates ert-lint scopes D10 to.
+// outside the simulation crates ert-lint scopes D10 to.
 #![allow(clippy::disallowed_types)]
 
 use std::collections::VecDeque;

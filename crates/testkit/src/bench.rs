@@ -16,11 +16,10 @@
 //!   that catches corrupted or zeroed regenerations on any real
 //!   machine.
 //!
-//! `BENCH_core.json` holds one record per line — the same scenario
-//! timed on the one-reactor core (`shards = 1`) and on a multi-shard
-//! split — and [`check_core_trajectory`] additionally pins that the
-//! simulation counters agree across the lines: the bench-level face of
-//! the shard-count invariance contract.
+//! `BENCH_core.json` holds one record per line, and
+//! [`check_core_trajectory`] additionally pins that the simulation
+//! counters agree across the lines: repeated passes of one fixed-seed
+//! scenario may differ only in wall time.
 //!
 //! CI regenerates the quick-shape core trajectory every PR and
 //! validates it with the same checker (see the `ERT_BENCH_FRESH_CORE`
@@ -113,7 +112,6 @@ pub fn check_core_record(text: &str) -> Vec<String> {
     if field(scenario, "quick", &mut errs).is_some_and(|v| v.as_bool().is_none()) {
         errs.push("key `quick` is not a bool".into());
     }
-    count(&root, "shards", &mut errs);
     if field(&root, "protocol", &mut errs).is_some_and(|v| v.as_str().is_none()) {
         errs.push("key `protocol` is not a string".into());
     }
@@ -178,12 +176,11 @@ pub fn check_core_record(text: &str) -> Vec<String> {
     errs
 }
 
-/// Validates a full `BENCH_core.json` trajectory: one record per
-/// non-empty line, each individually valid per [`check_core_record`],
-/// covering both the one-reactor core (`shards <= 1`) and a
-/// multi-shard split, with identical scenarios and identical
+/// Validates a full `BENCH_core.json` trajectory: at least one
+/// record, one per non-empty line, each individually valid per
+/// [`check_core_record`], with identical scenarios and identical
 /// simulation counters across lines (only wall time and the rates
-/// derived from it may differ between shard counts). Returns every
+/// derived from it may differ between passes). Returns every
 /// violation found (empty = valid).
 pub fn check_core_trajectory(text: &str) -> Vec<String> {
     let mut errs = Vec::new();
@@ -192,14 +189,9 @@ pub fn check_core_trajectory(text: &str) -> Vec<String> {
         .map(str::trim)
         .filter(|l| !l.is_empty())
         .collect();
-    if lines.len() < 2 {
-        errs.push(format!(
-            "need >= 2 records (single-shard and multi-shard), got {}",
-            lines.len()
-        ));
+    if lines.is_empty() {
+        errs.push("no records".into());
     }
-    let mut single = false;
-    let mut multi = false;
     // (scenario JSON, events, completed, hops, adapts) of the first record.
     let mut reference: Option<(Option<Json>, u64, u64, u64, u64)> = None;
     for (i, line) in lines.iter().enumerate() {
@@ -209,11 +201,6 @@ pub fn check_core_trajectory(text: &str) -> Vec<String> {
         let Ok(root) = Json::parse(line) else {
             continue;
         };
-        match root.get("shards").and_then(Json::as_u64) {
-            Some(s) if s <= 1 => single = true,
-            Some(_) => multi = true,
-            None => {}
-        }
         let scenario = root.get("scenario").cloned();
         let counter = |key: &str| root.get(key).and_then(Json::as_u64).unwrap_or(0);
         let sig = (
@@ -226,16 +213,11 @@ pub fn check_core_trajectory(text: &str) -> Vec<String> {
         match &reference {
             None => reference = Some(sig),
             Some(r) if *r != sig => errs.push(format!(
-                "record {i}: scenario or simulation counters diverge from record 0                  — the shard-count invariance contract is broken"
+                "record {i}: scenario or simulation counters diverge from record 0 \
+                 — a fixed-seed pass must be deterministic"
             )),
             Some(_) => {}
         }
-    }
-    if !lines.is_empty() && !single {
-        errs.push("no record with shards <= 1 (single-reactor baseline missing)".into());
-    }
-    if !lines.is_empty() && !multi {
-        errs.push("no record with shards > 1 (sharded measurement missing)".into());
     }
     errs
 }
@@ -307,8 +289,8 @@ mod tests {
     }
 
     /// The committed core trajectory parses and satisfies every schema
-    /// and tolerance-band invariant, covers both shard regimes, and
-    /// keeps its simulation counters identical across shard counts.
+    /// and tolerance-band invariant, and keeps its simulation counters
+    /// identical across lines.
     #[test]
     fn committed_core_trajectory_is_valid() {
         let errs = check_core_trajectory(&read("BENCH_core.json"));
@@ -343,16 +325,16 @@ mod tests {
         assert!(!check_core_record("{}").is_empty());
         // A coherent record altered to lie about its rate.
         let good = r#"{"scenario":{"n":128,"lookups":200,"seed":97,"quick":true},
-            "shards":1,"protocol":"ERT/AF","wall_seconds":0.5,
+            "protocol":"ERT/AF","wall_seconds":0.5,
             "events_processed":4000,"events_per_second":8000.0,
             "lookups_completed":200,"lookups_per_second":400.0,
             "hops_forwarded":900,"forwards_per_second":1800.0,
             "adapt_rounds":30,"adapt_rounds_per_second":60.0}"#;
         assert_eq!(check_core_record(good), Vec::<String>::new());
-        let shardless = good.replace("\"shards\":1,", "");
-        assert!(check_core_record(&shardless)
+        let nameless = good.replace("\"protocol\":\"ERT/AF\",", "");
+        assert!(check_core_record(&nameless)
             .iter()
-            .any(|e| e.contains("shards")));
+            .any(|e| e.contains("protocol")));
         let lying = good.replace(
             "\"events_per_second\":8000.0",
             "\"events_per_second\":9000.0",
@@ -366,13 +348,13 @@ mod tests {
             .any(|e| e.contains("adapt_rounds")));
     }
 
-    /// Single-line flattening of the `good` record with a chosen shard
-    /// count and wall time (rates rescaled to stay coherent).
-    fn trajectory_line(shards: usize, wall: f64) -> String {
+    /// Single-line flattening of the `good` record with a chosen wall
+    /// time (rates rescaled to stay coherent).
+    fn trajectory_line(wall: f64) -> String {
         let scale = 0.5 / wall;
         format!(
             r#"{{"scenario":{{"n":128,"lookups":200,"seed":97,"quick":true}},
-            "shards":{shards},"protocol":"ERT/AF","wall_seconds":{wall},
+            "protocol":"ERT/AF","wall_seconds":{wall},
             "events_processed":4000,"events_per_second":{},
             "lookups_completed":200,"lookups_per_second":{},
             "hops_forwarded":900,"forwards_per_second":{},
@@ -386,39 +368,26 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_checker_accepts_both_regimes_and_rejects_divergence() {
-        let good = format!(
-            "{}\n{}\n",
-            trajectory_line(1, 0.5),
-            trajectory_line(8, 0.625)
-        );
-        assert_eq!(check_core_trajectory(&good), Vec::<String>::new());
+    fn trajectory_checker_accepts_repeats_and_rejects_divergence() {
+        let lone = format!("{}\n", trajectory_line(0.5));
+        assert_eq!(check_core_trajectory(&lone), Vec::<String>::new());
+        let repeats = format!("{}\n{}\n", trajectory_line(0.5), trajectory_line(0.625));
+        assert_eq!(check_core_trajectory(&repeats), Vec::<String>::new());
 
-        // A lone record is not a trajectory.
-        let lone = format!("{}\n", trajectory_line(1, 0.5));
-        assert!(check_core_trajectory(&lone)
+        // An empty file is not a trajectory.
+        assert!(check_core_trajectory("\n")
             .iter()
-            .any(|e| e.contains(">= 2 records")));
+            .any(|e| e.contains("no records")));
 
-        // Two single-shard records: the multi-shard measurement is missing.
-        let single_only = format!(
-            "{}\n{}\n",
-            trajectory_line(1, 0.5),
-            trajectory_line(1, 0.625)
-        );
-        assert!(check_core_trajectory(&single_only)
-            .iter()
-            .any(|e| e.contains("shards > 1")));
-
-        // Diverging counters across shard counts break the invariance
-        // contract even when each record is self-coherent.
-        let skewed = trajectory_line(8, 0.625)
+        // Diverging counters across passes break determinism even when
+        // each record is self-coherent.
+        let skewed = trajectory_line(0.625)
             .replace("\"events_processed\":4000", "\"events_processed\":4100")
             .replace("\"events_per_second\":6400", "\"events_per_second\":6560");
-        let diverged = format!("{}\n{}\n", trajectory_line(1, 0.5), skewed);
-        assert!(check_core_trajectory(&diverged)
-            .iter()
-            .any(|e| e.contains("invariance")));
+        let diverged = format!("{}\n{}\n", trajectory_line(0.5), skewed);
+        let errs = check_core_trajectory(&diverged);
+        assert_eq!(errs.len(), 1, "{errs:#?}");
+        assert!(errs[0].contains("diverge from record 0 — a fixed-seed"));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub fn theorem31_envelope(n: usize, gamma_cs: &[f64], seeds: &[u64]) -> Envelope
         let mut seed_ok = true;
         let mut detail = String::new();
         for &gc in gamma_cs {
-            let (table, ok) = theorem31_check(n, gc, seed, 0);
+            let (table, ok) = theorem31_check(n, gc, seed);
             seed_ok &= ok;
             detail.push_str(&table.render());
         }
@@ -85,7 +85,7 @@ pub fn theorem33_envelope(n: usize, lookups: usize, seeds: &[u64]) -> Envelope {
     let mut runs = Vec::new();
     let mut details = Vec::new();
     for &seed in seeds {
-        let (table, ok) = theorem33_check(n, lookups, seed, 0);
+        let (table, ok) = theorem33_check(n, lookups, seed);
         runs.push((seed, ok));
         details.push(table.render());
     }

@@ -21,7 +21,6 @@ fn main() {
         chaos: None,
         adversary: None,
         jobs: None,
-        shards: 0,
         stream_stats: false,
     };
     println!("swarm under churn (paper-scale interarrival sweep)\n");

@@ -23,7 +23,6 @@ fn main() {
         chaos: None,
         adversary: None,
         jobs: None,
-        shards: 0,
         stream_stats: false,
     };
     println!("{}", cross_overlay_table(&scenario));

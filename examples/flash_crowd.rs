@@ -28,7 +28,6 @@ fn main() {
         chaos: None,
         adversary: None,
         jobs: None,
-        shards: 0,
         stream_stats: false,
     };
     println!("flash crowd: 50 co-located requesters hammer 20 keys\n");

@@ -111,3 +111,28 @@ fn reports_are_deterministic_per_seed() {
     assert_eq!(a.p99_share, b.p99_share);
     assert_eq!(a.heavy_encounters, b.heavy_encounters);
 }
+
+/// Scale smoke (ignored by default; run with `--ignored --release`):
+/// an n = 65536 population completes a lookup burst and loses nothing.
+#[test]
+#[ignore = "n=65536 scale run; minutes in release — invoke explicitly"]
+fn n65536_node_run_completes() {
+    use ert_repro::network::{Network, NetworkConfig};
+    use ert_repro::overlay::CycloidSpace;
+    use ert_repro::sim::SimRng;
+    use ert_repro::workloads::{uniform_lookups, BoundedPareto};
+
+    let n = 65536;
+    let mut rng = SimRng::seed_from(406);
+    let capacities = BoundedPareto::paper_default().sample_n(n, &mut rng);
+    let cfg = NetworkConfig::for_dimension(CycloidSpace::dimension_for(n), 406);
+    let mut net = Network::new(cfg, &capacities, ProtocolSpec::ert_af()).expect("valid network");
+    let lookups = uniform_lookups(2000, n as f64, &mut rng);
+    let report = net.run(&lookups, &[]);
+    assert_eq!(report.lookups_completed + report.lookups_dropped, 2000);
+    assert!(
+        report.lookups_completed >= 1990,
+        "completed only {}",
+        report.lookups_completed
+    );
+}

@@ -272,34 +272,6 @@ proptest! {
         prop_assert!(r.lookups_dropped <= 3, "dropped {}", r.lookups_dropped);
     }
 
-    /// Shard-count invariance as a property: any small world from the
-    /// shared `testkit::strategies::small_world` recipe, under any of
-    /// the six protocols, reports byte-identically on the sharded core
-    /// at an arbitrary shard count (including non-powers of two) as on
-    /// the legacy single event loop.
-    #[test]
-    fn sharded_core_is_invariant_on_arbitrary_worlds(
-        world in strategies::small_world(24usize..96),
-        proto in 0usize..6, shards in 1usize..9) {
-        use ert_repro::baselines::all_protocols;
-        use ert_repro::network::Network;
-
-        let mut world = world;
-        let spec = all_protocols(world.n).swap_remove(proto);
-        let lookups = world.lookups(60);
-        world.cfg.shards = 0;
-        let mut legacy = Network::new(world.cfg, &world.capacities, spec.clone())
-            .expect("valid network");
-        let reference = serde::json::to_string(&legacy.run(&lookups, &[]));
-        world.cfg.shards = shards;
-        let mut sharded = Network::new(world.cfg, &world.capacities, spec).expect("valid network");
-        prop_assert_eq!(
-            reference,
-            serde::json::to_string(&sharded.run(&lookups, &[])),
-            "shard count {} leaked into the report", shards
-        );
-    }
-
     /// Fault-plan property: any small syntactically valid fault plan,
     /// with retries on or off, conserves lookups exactly — and the
     /// runtime sanitizer (armed in debug builds) audits that balance

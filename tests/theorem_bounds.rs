@@ -30,7 +30,7 @@ fn theorem32_paper_example_converges_to_100() {
 
 #[test]
 fn theorem32_measured_table_reports() {
-    let table = theorem32_check(192, 300, 304, 0);
+    let table = theorem32_check(192, 300, 304);
     assert_eq!(table.rows.len(), 1);
     let nu_min: f64 = table.rows[0][2].parse().unwrap();
     let nu_max: f64 = table.rows[0][3].parse().unwrap();
