@@ -3,8 +3,9 @@
 //!
 //! Both operations are written against the [`Directory`] trait — the
 //! joining node's window onto the network — so the same logic drives the
-//! Cycloid simulator in `ert-network`, the Chord/Pastry demonstrations,
-//! and mock-based unit tests.
+//! Cycloid simulator in `ert-network`, the Chord/Pastry platforms in
+//! `ert-minidht`, the live wire node in `ert-node` (over RPC) and
+//! mock-based unit tests.
 
 use ert_sim::SimRng;
 
@@ -15,12 +16,16 @@ use crate::params::ErtParams;
 ///
 /// `add_link(from, slot, to)` must perform the double bookkeeping the
 /// paper describes: `to` gains an inlink (and records a backward finger
-/// to know `from`), `from`'s table slot gains the outlink.
+/// to know `from`), `from`'s table slot gains the outlink. The geometry
+/// reads are local; the peer-state methods may have to ask the peer, so
+/// they can fail (in-memory directories use `Infallible` errors).
 pub trait Directory {
     /// Overlay node identifier.
     type Id: Copy + Eq + std::fmt::Debug;
     /// Routing-table slot identifier.
     type Slot: Copy + Eq + std::fmt::Debug;
+    /// Failure of a peer-state read or write.
+    type Error;
 
     /// The slots of `node`'s table, each with the live candidates its
     /// region currently contains.
@@ -33,16 +38,26 @@ pub trait Directory {
 
     /// `d^∞ − d` of `node` (may be negative after adaptation shrank
     /// `d^∞` below the current indegree).
-    fn spare_indegree(&self, node: Self::Id) -> i64;
+    fn spare_indegree(&mut self, node: Self::Id) -> Result<i64, Self::Error>;
 
     /// Current indegree of `node`.
-    fn indegree(&self, node: Self::Id) -> u32;
+    fn indegree(&mut self, node: Self::Id) -> Result<u32, Self::Error>;
 
     /// Whether `from`'s table already holds `to` in `slot`.
-    fn has_link(&self, from: Self::Id, slot: Self::Slot, to: Self::Id) -> bool;
+    fn has_link(
+        &mut self,
+        from: Self::Id,
+        slot: Self::Slot,
+        to: Self::Id,
+    ) -> Result<bool, Self::Error>;
 
     /// Creates the double link `from → to` in `from`'s `slot`.
-    fn add_link(&mut self, from: Self::Id, slot: Self::Slot, to: Self::Id);
+    fn add_link(
+        &mut self,
+        from: Self::Id,
+        slot: Self::Slot,
+        to: Self::Id,
+    ) -> Result<(), Self::Error>;
 }
 
 /// The initial indegree a joining node aims for: `β·d^∞`, at least 1
@@ -69,33 +84,43 @@ pub fn initial_indegree_target(params: &ErtParams, d_max: u32) -> u32 {
 /// and the periodic adaptation will shed the excess.
 ///
 /// Returns the number of links created.
-pub fn build_table<D: Directory>(dir: &mut D, node: D::Id, rng: &mut SimRng) -> usize {
+///
+/// # Errors
+///
+/// Stops at the first failed directory call and returns its error.
+pub fn build_table<D: Directory>(
+    dir: &mut D,
+    node: D::Id,
+    rng: &mut SimRng,
+) -> Result<usize, D::Error> {
     let mut created = 0;
     for (slot, candidates) in dir.table_slots(node) {
-        let candidates: Vec<D::Id> = candidates.into_iter().filter(|&c| c != node).collect();
-        if candidates.is_empty() {
-            continue;
+        let mut spares = Vec::with_capacity(candidates.len());
+        for c in candidates.into_iter().filter(|&c| c != node) {
+            spares.push((c, dir.spare_indegree(c)?));
         }
-        let with_spare: Vec<D::Id> = candidates
+        let with_spare: Vec<D::Id> = spares
             .iter()
-            .copied()
-            .filter(|&c| dir.spare_indegree(c) >= 1)
+            .filter(|&&(_, spare)| spare >= 1)
+            .map(|&(c, _)| c)
             .collect();
         let chosen = if with_spare.is_empty() {
-            candidates
+            spares
                 .iter()
-                .copied()
-                .max_by_key(|&c| dir.spare_indegree(c))
-                .expect("candidates nonempty")
+                .max_by_key(|&&(_, spare)| spare)
+                .map(|&(c, _)| c)
         } else {
-            *rng.choose(&with_spare).expect("with_spare nonempty")
+            rng.choose(&with_spare).copied()
         };
-        if !dir.has_link(node, slot, chosen) {
-            dir.add_link(node, slot, chosen);
+        let Some(chosen) = chosen else {
+            continue;
+        };
+        if !dir.has_link(node, slot, chosen)? {
+            dir.add_link(node, slot, chosen)?;
             created += 1;
         }
     }
-    created
+    Ok(created)
 }
 
 /// Expands `node`'s indegree toward `target` by probing its reverse
@@ -106,22 +131,30 @@ pub fn build_table<D: Directory>(dir: &mut D, node: D::Id, rng: &mut SimRng) -> 
 /// Returns the number of inlinks gained. Stops early when the candidate
 /// supply is exhausted, so the achieved indegree can fall short of
 /// `target` in sparse regions.
-pub fn expand_indegree<D: Directory>(dir: &mut D, node: D::Id, target: u32) -> u32 {
+///
+/// # Errors
+///
+/// Stops at the first failed directory call and returns its error.
+pub fn expand_indegree<D: Directory>(
+    dir: &mut D,
+    node: D::Id,
+    target: u32,
+) -> Result<u32, D::Error> {
     let mut gained = 0;
-    if dir.indegree(node) >= target {
-        return 0;
+    if dir.indegree(node)? >= target {
+        return Ok(0);
     }
     for (slot, candidate) in dir.inlink_candidates(node) {
-        if dir.indegree(node) >= target {
+        if dir.indegree(node)? >= target {
             break;
         }
-        if candidate == node || dir.has_link(candidate, slot, node) {
+        if candidate == node || dir.has_link(candidate, slot, node)? {
             continue;
         }
-        dir.add_link(candidate, slot, node);
+        dir.add_link(candidate, slot, node)?;
         gained += 1;
     }
-    gained
+    Ok(gained)
 }
 
 #[cfg(test)]
@@ -131,12 +164,19 @@ mod tests {
 
     /// A two-slot toy overlay: every node's table has slots 0 and 1;
     /// slot-0 candidates are even ids, slot-1 candidates odd ids.
+    /// With `fail_at = Some(k)` the k-th peer-state call (1-based)
+    /// fails with `Fault(k)`; `calls` counts every peer-state call.
     struct MockDir {
         members: Vec<u32>,
         d_max: BTreeMap<u32, i64>,
         links: Vec<(u32, u8, u32)>,
         indegree: BTreeMap<u32, u32>,
+        fail_at: Option<usize>,
+        calls: usize,
     }
+
+    #[derive(Debug, PartialEq, Eq)]
+    struct Fault(usize);
 
     impl MockDir {
         fn new(members: &[u32], d_max: i64) -> Self {
@@ -145,6 +185,16 @@ mod tests {
                 d_max: members.iter().map(|&m| (m, d_max)).collect(),
                 links: Vec::new(),
                 indegree: BTreeMap::new(),
+                fail_at: None,
+                calls: 0,
+            }
+        }
+
+        fn call(&mut self) -> Result<(), Fault> {
+            self.calls += 1;
+            match self.fail_at {
+                Some(k) if k == self.calls => Err(Fault(k)),
+                _ => Ok(()),
             }
         }
     }
@@ -152,6 +202,7 @@ mod tests {
     impl Directory for MockDir {
         type Id = u32;
         type Slot = u8;
+        type Error = Fault;
 
         fn table_slots(&self, node: u32) -> Vec<(u8, Vec<u32>)> {
             let evens = self
@@ -177,22 +228,27 @@ mod tests {
                 .collect()
         }
 
-        fn spare_indegree(&self, node: u32) -> i64 {
-            self.d_max[&node] - self.indegree.get(&node).copied().unwrap_or(0) as i64
+        fn spare_indegree(&mut self, node: u32) -> Result<i64, Fault> {
+            self.call()?;
+            Ok(self.d_max[&node] - self.indegree.get(&node).copied().unwrap_or(0) as i64)
         }
 
-        fn indegree(&self, node: u32) -> u32 {
-            self.indegree.get(&node).copied().unwrap_or(0)
+        fn indegree(&mut self, node: u32) -> Result<u32, Fault> {
+            self.call()?;
+            Ok(self.indegree.get(&node).copied().unwrap_or(0))
         }
 
-        fn has_link(&self, from: u32, slot: u8, to: u32) -> bool {
-            self.links.contains(&(from, slot, to))
+        fn has_link(&mut self, from: u32, slot: u8, to: u32) -> Result<bool, Fault> {
+            self.call()?;
+            Ok(self.links.contains(&(from, slot, to)))
         }
 
-        fn add_link(&mut self, from: u32, slot: u8, to: u32) {
-            assert!(!self.has_link(from, slot, to), "duplicate link");
+        fn add_link(&mut self, from: u32, slot: u8, to: u32) -> Result<(), Fault> {
+            self.call()?;
+            assert!(!self.links.contains(&(from, slot, to)), "duplicate link");
             self.links.push((from, slot, to));
             *self.indegree.entry(to).or_insert(0) += 1;
+            Ok(())
         }
     }
 
@@ -201,7 +257,7 @@ mod tests {
         let mut dir = MockDir::new(&[2, 3, 4, 5], 10);
         let mut rng = SimRng::seed_from(1);
         let created = build_table(&mut dir, 2, &mut rng);
-        assert_eq!(created, 2); // one even, one odd neighbor
+        assert_eq!(created, Ok(2)); // one even, one odd neighbor
         assert!(dir.links.iter().all(|&(from, _, to)| from == 2 && to != 2));
     }
 
@@ -213,7 +269,7 @@ mod tests {
         for _ in 0..10 {
             dir.links.clear();
             dir.indegree.clear();
-            build_table(&mut dir, 6, &mut rng);
+            build_table(&mut dir, 6, &mut rng).unwrap();
             assert_eq!(dir.links, vec![(6, 0, 2)], "must avoid saturated node 4");
         }
     }
@@ -225,7 +281,7 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         let created = build_table(&mut dir, 4, &mut rng);
         // Slot 0's only member (2) is saturated but still linked.
-        assert_eq!(created, 1);
+        assert_eq!(created, Ok(1));
         assert_eq!(dir.links, vec![(4, 0, 2)]);
     }
 
@@ -233,8 +289,8 @@ mod tests {
     fn expand_indegree_reaches_target() {
         let mut dir = MockDir::new(&[1, 2, 3, 4, 5, 6], 10);
         let gained = expand_indegree(&mut dir, 2, 3);
-        assert_eq!(gained, 3);
-        assert_eq!(dir.indegree(2), 3);
+        assert_eq!(gained, Ok(3));
+        assert_eq!(dir.indegree(2), Ok(3));
         // Every created link points at node 2 in its probe slot.
         assert!(dir.links.iter().all(|&(_, slot, to)| to == 2 && slot == 0));
     }
@@ -243,17 +299,39 @@ mod tests {
     fn expand_indegree_stops_when_candidates_run_out() {
         let mut dir = MockDir::new(&[1, 2], 10);
         let gained = expand_indegree(&mut dir, 2, 5);
-        assert_eq!(gained, 1); // only node 1 can point at 2
-        assert_eq!(dir.indegree(2), 1);
+        assert_eq!(gained, Ok(1)); // only node 1 can point at 2
+        assert_eq!(dir.indegree(2), Ok(1));
     }
 
     #[test]
     fn expand_indegree_noop_when_already_at_target() {
         let mut dir = MockDir::new(&[1, 2, 3], 10);
-        expand_indegree(&mut dir, 2, 2);
+        expand_indegree(&mut dir, 2, 2).unwrap();
         let before = dir.links.len();
-        assert_eq!(expand_indegree(&mut dir, 2, 2), 0);
+        assert_eq!(expand_indegree(&mut dir, 2, 2), Ok(0));
         assert_eq!(dir.links.len(), before);
+    }
+
+    #[test]
+    fn peer_state_errors_stop_build_and_expansion() {
+        // Fail each peer-state call of a clean run in turn: the error
+        // comes back unchanged and is the last call made, so no
+        // `add_link` follows it.
+        type Op = fn(&mut MockDir) -> Result<(), Fault>;
+        let build: Op = |dir| build_table(dir, 2, &mut SimRng::seed_from(4)).map(drop);
+        let expand: Op = |dir| expand_indegree(dir, 2, 3).map(drop);
+        for op in [build, expand] {
+            let mut clean = MockDir::new(&[1, 2, 3, 4, 5, 6], 10);
+            op(&mut clean).unwrap();
+            assert!(!clean.links.is_empty());
+            for k in 1..=clean.calls {
+                let mut dir = MockDir::new(&[1, 2, 3, 4, 5, 6], 10);
+                dir.fail_at = Some(k);
+                assert_eq!(op(&mut dir), Err(Fault(k)));
+                assert_eq!(dir.calls, k, "call {k} failed but the run went on");
+                assert!(clean.links.starts_with(&dir.links));
+            }
+        }
     }
 
     #[test]

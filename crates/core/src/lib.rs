@@ -28,7 +28,9 @@
 //!   backward fingers (inlinks), and the forwarding memory;
 //! * [`assign::Directory`] — the node's window onto the network
 //!   (who is in a region, who has spare indegree), implemented by the
-//!   simulator in `ert-network` and by mocks in tests.
+//!   simulator in `ert-network`, by `ert-minidht`'s platforms, by the
+//!   live wire node in `ert-node` (over RPC, so its peer-state methods
+//!   are fallible), and by mocks in tests.
 //!
 //! [`bounds`] evaluates the paper's Theorems 3.1–3.3 so tests and the
 //! experiment harness can check that measured degrees respect the proven

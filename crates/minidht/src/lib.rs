@@ -13,6 +13,9 @@
 //! Table 2 model (light/heavy service, queue-length congestion) and the
 //! unchanged `ert-core` mechanism: capacity-bounded indegree assignment
 //! and expansion, periodic adaptation, and b-way forwarding with memory.
+//! What one node does is written once, in [`node`], over a
+//! [`node::NodeDirectory`]: `MiniDht` backs it with its node vector and
+//! `ert-node`'s live node with RPCs.
 //! Compared to `ert-network` (the full Cycloid platform), the mini
 //! platforms have no churn, virtual servers, locality or anonymity mode
 //! — they isolate one question: does ERT's congestion control carry
@@ -34,6 +37,7 @@
 
 mod chord;
 mod geometry;
+pub mod node;
 mod pastry;
 mod platform;
 

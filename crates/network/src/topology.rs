@@ -3,6 +3,7 @@
 //! and routing-candidate assembly).
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 use ert_core::{
     assign::initial_indegree_target, build_table, expand_indegree, select_shed_victims, Directory,
@@ -306,9 +307,9 @@ impl Topology {
                 }
             }
             TablePolicy::Elastic => {
-                build_table(self, id, rng);
+                let Ok(_) = build_table(self, id, rng);
                 let target = initial_indegree_target(&self.params, self.nodes[node].d_max);
-                expand_indegree(self, id, target);
+                let Ok(_) = expand_indegree(self, id, target);
             }
         }
         self.refresh_ring_slots(node);
@@ -423,7 +424,23 @@ impl Topology {
         let id = self.nodes[node].id;
         let target = self.nodes[node].table.indegree() as u32 + count;
         let capped = target.min(self.nodes[node].d_max);
-        expand_indegree(self, id, capped)
+        let Ok(gained) = expand_indegree(self, id, capped);
+        gained
+    }
+
+    /// Creates the double link `from → to` in `from`'s `slot`: the
+    /// outlink, `to`'s backward finger, and the degree watermarks. A
+    /// no-op when either end has departed.
+    pub fn add_link(&mut self, from: CycloidId, slot: CycloidSlot, to: CycloidId) {
+        let (fi, ti) = match (self.node_idx(from), self.node_idx(to)) {
+            (Some(f), Some(t)) => (f, t),
+            _ => return, // either end departed mid-operation
+        };
+        self.nodes[fi].table.add_outlink(slot, to);
+        self.nodes[ti].table.add_backward(from);
+        self.link_ops += 1;
+        self.note_degrees(fi);
+        self.note_degrees(ti);
     }
 
     /// Repairs an empty or all-dead entry slot by selecting a fresh
@@ -626,6 +643,7 @@ impl Topology {
 impl Directory for Topology {
     type Id = CycloidId;
     type Slot = CycloidSlot;
+    type Error = Infallible;
 
     fn table_slots(&self, node: CycloidId) -> Vec<(CycloidSlot, Vec<CycloidId>)> {
         let mut out = Vec::new();
@@ -672,31 +690,37 @@ impl Directory for Topology {
         out
     }
 
-    fn spare_indegree(&self, node: CycloidId) -> i64 {
-        self.node_idx(node)
-            .map_or(0, |i| self.nodes[i].spare_indegree())
+    fn spare_indegree(&mut self, node: CycloidId) -> Result<i64, Infallible> {
+        Ok(self
+            .node_idx(node)
+            .map_or(0, |i| self.nodes[i].spare_indegree()))
     }
 
-    fn indegree(&self, node: CycloidId) -> u32 {
-        self.node_idx(node)
-            .map_or(0, |i| self.nodes[i].table.indegree() as u32)
+    fn indegree(&mut self, node: CycloidId) -> Result<u32, Infallible> {
+        Ok(self
+            .node_idx(node)
+            .map_or(0, |i| self.nodes[i].table.indegree() as u32))
     }
 
-    fn has_link(&self, from: CycloidId, slot: CycloidSlot, to: CycloidId) -> bool {
-        self.node_idx(from)
-            .is_some_and(|i| self.nodes[i].table.outlinks(slot).contains(&to))
+    fn has_link(
+        &mut self,
+        from: CycloidId,
+        slot: CycloidSlot,
+        to: CycloidId,
+    ) -> Result<bool, Infallible> {
+        Ok(self
+            .node_idx(from)
+            .is_some_and(|i| self.nodes[i].table.outlinks(slot).contains(&to)))
     }
 
-    fn add_link(&mut self, from: CycloidId, slot: CycloidSlot, to: CycloidId) {
-        let (fi, ti) = match (self.node_idx(from), self.node_idx(to)) {
-            (Some(f), Some(t)) => (f, t),
-            _ => return, // either end departed mid-operation
-        };
-        self.nodes[fi].table.add_outlink(slot, to);
-        self.nodes[ti].table.add_backward(from);
-        self.link_ops += 1;
-        self.note_degrees(fi);
-        self.note_degrees(ti);
+    fn add_link(
+        &mut self,
+        from: CycloidId,
+        slot: CycloidSlot,
+        to: CycloidId,
+    ) -> Result<(), Infallible> {
+        Topology::add_link(self, from, slot, to);
+        Ok(())
     }
 }
 
@@ -894,7 +918,7 @@ mod tests {
         let b = topo.nodes[40].id;
         let before = topo.nodes[40].table.indegree();
         topo.add_link(a, CycloidSlot::Cyclic, b);
-        assert!(topo.has_link(a, CycloidSlot::Cyclic, b));
+        assert_eq!(topo.has_link(a, CycloidSlot::Cyclic, b), Ok(true));
         assert_eq!(topo.nodes[40].table.indegree(), before + 1);
         let host = topo.nodes[40].host;
         assert!(topo.hosts[host].max_indegree_seen >= (before + 1) as u32);

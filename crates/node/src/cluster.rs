@@ -391,18 +391,9 @@ impl WireCluster {
             .iter()
             .enumerate()
             .map(|(i, n)| match n {
-                Some(node) => node.fingerprint(),
+                Some(node) => node.core.fingerprint(),
                 None => format!("id={};departed", self.ids[i]),
             })
-            .collect()
-    }
-
-    /// Elastic indegree of every live node (for bound checks).
-    pub fn indegrees(&self) -> Vec<(u64, u32, u32)> {
-        self.nodes
-            .iter()
-            .flatten()
-            .map(|n| (n.id(), n.indegree(), n.d_max()))
             .collect()
     }
 
@@ -656,16 +647,18 @@ impl WireCluster {
 
     fn report(&mut self) -> WireReport {
         let live: Vec<&WireNode> = self.nodes.iter().flatten().collect();
-        let max_g: Samples = live.iter().map(|n| n.max_congestion).collect();
-        let total_load: f64 = live.iter().map(|n| n.total_received as f64).sum();
+        let max_g: Samples = live.iter().map(|n| n.core.max_congestion).collect();
+        let total_load: f64 = live.iter().map(|n| n.core.total_received as f64).sum();
         let total_cap: f64 = live.iter().map(|n| n.raw_capacity).sum();
         let mut shares = Samples::new();
         if total_load > 0.0 {
             for n in &live {
-                shares.push((n.total_received as f64 / total_load) / (n.raw_capacity / total_cap));
+                shares.push(
+                    (n.core.total_received as f64 / total_load) / (n.raw_capacity / total_cap),
+                );
             }
         }
-        let heavy_encounters: u64 = live.iter().map(|n| n.heavy_encounters).sum();
+        let heavy_encounters: u64 = live.iter().map(|n| n.core.heavy_encounters).sum();
         let suffix = match self.protocol {
             MiniProtocol::Classic => "",
             MiniProtocol::ElasticErt => "+ERT",

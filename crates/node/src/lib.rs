@@ -1,11 +1,13 @@
 //! `ert-node` — a live wire-protocol node for the elastic routing
 //! table, with the deterministic simulator as its differential oracle.
 //!
-//! The crate promotes the `ert-minidht` platform model to a node that
-//! speaks a versioned, length-prefixed frame protocol ([`codec`]) over
-//! a pluggable [`Transport`]: join, stabilize, lookup forwarding,
-//! load probing, and indegree adaptation all run as real wire
-//! exchanges between peers instead of method calls on one struct.
+//! The node runs `ert-minidht`'s per-node protocol (`ert_minidht::node`:
+//! table build, forwarding, adaptation — the code `MiniDht` runs) over
+//! an RPC-backed directory, and speaks a versioned, length-prefixed
+//! frame protocol ([`codec`]) over a pluggable [`Transport`]: join,
+//! stabilize, lookup forwarding, load probing and indegree adaptation
+//! are wire exchanges between peers instead of method calls on one
+//! struct.
 //!
 //! Two transports implement the trait:
 //!
@@ -14,7 +16,9 @@
 //!   test harness and the half of the differential oracle that runs
 //!   live nodes; `ert-testkit`'s `diff::wire` module drives it against
 //!   `MiniDht` and asserts identical hop-by-hop routing decisions and
-//!   indegree-adaptation sequences.
+//!   indegree-adaptation sequences. With one copy of the algorithms,
+//!   that oracle checks the codec, the two lanes, message order and
+//!   fault adjudication.
 //! * a UDP event loop (feature `udp`, module [`udp`]) behind the
 //!   `ert-node` binary, for running a real process-per-node cluster.
 //!

@@ -1,17 +1,14 @@
 //! The single-threaded live node.
 //!
-//! A [`WireNode`] owns exactly the state one `MiniNode` holds inside
-//! the simulator — elastic table, service queue, adaptive bound — and
-//! executes the same algorithms (`ert-core`'s Algorithm 4 forwarding
-//! and Algorithm 3 adaptation) as wire exchanges through a
-//! [`Transport`]. Every decision the simulator makes by reading shared
-//! memory, the node makes by sending a frame: candidate loads arrive as
-//! `ProbeLoad`/`LoadReport` RPCs, indegree expansion negotiates
-//! `AdaptIndegree` ops with the candidate inlink holders, and lookups
-//! are forwarded as `Lookup` datagrams. The differential oracle in
-//! `ert-testkit` pins the two executions to identical decisions
-//! hop-by-hop; see DESIGN.md "Wire Protocol & Live Node" for the
-//! correspondence argument.
+//! A [`WireNode`] runs the per-node protocol of [`ert_minidht::node`]
+//! (table build with Algorithm 1 expansion, Algorithm 4 forwarding,
+//! Algorithm 3 adaptation) — the code `MiniDht` runs for its simulated
+//! nodes — over an RPC-backed [`NodeDirectory`]: candidate loads and
+//! spare indegree arrive as `ProbeLoad`/`LoadReport` RPCs, link surgery
+//! runs as `AdaptIndegree` ops, and lookups travel as `Lookup`
+//! datagrams. This module keeps only membership, frame dispatch on the
+//! two lanes, the RPC server half and that directory adapter; see
+//! DESIGN.md "Wire Protocol & Live Node".
 //!
 //! Determinism: the node's only randomness is two private streams
 //! derived from `seed ^ id` — the build stream (elastic slot picks at
@@ -19,15 +16,13 @@
 //! clock (time comes from [`Transport::now`]) and never iterates an
 //! unordered container.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use ert_core::{
-    adaptation_action, assign::initial_indegree_target, choose_next_b, AdaptAction, Candidate,
-    ElasticTable, ErtParams, ForwardPolicy,
-};
+use ert_core::Directory;
+use ert_minidht::node::{self, Hop, NodeCore, NodeDirectory, Probe, Route};
 use ert_minidht::{AdaptTrace, ChordGeometry, Geometry, MiniDhtConfig, MiniProtocol};
-use ert_sim::{SimDuration, SimRng};
+use ert_sim::SimRng;
 
 use crate::codec::{decode, encode, AdaptOp, CodecError, LookupStatus, Message};
 use crate::transport::{TimerKind, Transport, TransportError, CLIENT_ADDR};
@@ -71,49 +66,154 @@ impl From<TransportError> for NodeError {
 #[derive(Debug, Clone)]
 pub(crate) struct LookupState {
     pub(crate) query: u64,
-    pub(crate) key: u64,
-    pub(crate) hops: u32,
     pub(crate) attempts: u32,
-    pub(crate) numeric_mode: bool,
-    pub(crate) avoid: BTreeSet<u64>,
+    pub(crate) route: Route,
 }
 
-/// Result of probing one forwarding candidate.
-enum Probe {
-    /// The peer answered with (load, capacity).
-    Report(u64, u64),
-    /// No such peer; the simulator scores unknowns as load 0 capacity 1.
+/// A peer's answer to one RPC.
+enum Reply {
+    /// The peer's `LoadReport` (`load`, `capacity`, `indegree`, `spare`).
+    Report(u64, u64, u32, i64),
+    /// No such peer.
     Unknown,
-    /// A partition hides the peer; it cannot be considered this hop.
+    /// A partition separates us from the peer.
     Unreachable,
 }
 
-/// One live DHT node: Chord geometry replica, elastic routing table,
-/// single-server queue, and the ERT adaptation loop — all driven
-/// through a [`Transport`].
+/// The running node's [`NodeDirectory`]: its own id is answered from
+/// its own state, every other id by an RPC. Unknown or partitioned
+/// peers read as the simulator's unknown-peer defaults (no indegree, no
+/// spare), and an unreachable inlink candidate as already linked, so
+/// Algorithm 1 skips it without a second request.
+struct Rpc<'a> {
+    core: &'a mut NodeCore<LookupState>,
+    geometry: &'a ChordGeometry,
+    t: &'a mut dyn Transport,
+}
+
+impl Rpc<'_> {
+    fn ask(&mut self, peer: u64, msg: &Message) -> Result<Reply, NodeError> {
+        match self.t.request(peer, &encode(msg)) {
+            Ok(bytes) => match decode(&bytes)? {
+                Message::LoadReport {
+                    load,
+                    capacity,
+                    indegree,
+                    spare,
+                    ..
+                } => Ok(Reply::Report(load, capacity, indegree, spare)),
+                other => Err(NodeError::Protocol(format!(
+                    "reply to {msg:?} carried unexpected message {other:?}"
+                ))),
+            },
+            Err(TransportError::UnknownPeer(_)) => Ok(Reply::Unknown),
+            Err(TransportError::Partitioned { .. }) => Ok(Reply::Unreachable),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    fn ask_op(&mut self, peer: u64, from: u64, slot: u16, op: AdaptOp) -> Result<Reply, NodeError> {
+        self.ask(peer, &Message::AdaptIndegree { from, slot, op })
+    }
+
+    /// `(indegree, spare)` of `node`.
+    fn degrees(&mut self, node: u64) -> Result<(u32, i64), NodeError> {
+        if node == self.core.id {
+            return Ok((self.core.table.indegree() as u32, self.core.spare()));
+        }
+        Ok(match self.ask(node, &Message::ProbeLoad { token: 0 })? {
+            Reply::Report(_, _, indegree, spare) => (indegree, spare),
+            Reply::Unknown | Reply::Unreachable => (0, 0),
+        })
+    }
+}
+
+impl Directory for Rpc<'_> {
+    type Id = u64;
+    type Slot = u16;
+    type Error = NodeError;
+
+    fn table_slots(&self, node: u64) -> Vec<(u16, Vec<u64>)> {
+        self.geometry.table_slots(node)
+    }
+
+    fn inlink_candidates(&self, node: u64) -> Vec<(u16, u64)> {
+        self.geometry.inlink_candidates(node)
+    }
+
+    fn spare_indegree(&mut self, node: u64) -> Result<i64, NodeError> {
+        Ok(self.degrees(node)?.1)
+    }
+
+    fn indegree(&mut self, node: u64) -> Result<u32, NodeError> {
+        Ok(self.degrees(node)?.0)
+    }
+
+    fn has_link(&mut self, from: u64, slot: u16, to: u64) -> Result<bool, NodeError> {
+        if from == self.core.id {
+            return Ok(self.core.table.outlinks(slot).contains(&to));
+        }
+        let reply = self.ask_op(from, to, slot, AdaptOp::QueryOutlink)?;
+        Ok(!matches!(reply, Reply::Report(0, ..)))
+    }
+
+    fn add_link(&mut self, from: u64, slot: u16, to: u64) -> Result<(), NodeError> {
+        let me = self.core.id;
+        let elastic = !self.geometry.is_structural(slot);
+        if from == me {
+            self.core.table.add_outlink(slot, to);
+            if elastic {
+                self.ask_op(to, me, slot, AdaptOp::AddBackward)?;
+            }
+        } else if to == me {
+            let reply = self.ask_op(from, me, slot, AdaptOp::AddOutlink)?;
+            if elastic && matches!(reply, Reply::Report(..)) {
+                self.core.table.add_backward(from);
+            }
+        } else {
+            return Err(NodeError::Protocol(format!(
+                "{me} cannot link {from} to {to}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl NodeDirectory for Rpc<'_> {
+    type Queued = LookupState;
+
+    fn me(&mut self) -> &mut NodeCore<LookupState> {
+        self.core
+    }
+
+    fn probe_load(&mut self, peer: u64, token: u64) -> Result<Probe, NodeError> {
+        Ok(match self.ask(peer, &Message::ProbeLoad { token })? {
+            Reply::Report(load, capacity, ..) => Probe::Report { load, capacity },
+            Reply::Unknown => Probe::Unknown,
+            Reply::Unreachable => Probe::Unreachable,
+        })
+    }
+
+    fn drop_links(&mut self, victim: u64) -> Result<(), NodeError> {
+        let me = self.core.id;
+        self.ask_op(victim, me, 0, AdaptOp::DropOutlinks)?;
+        Ok(())
+    }
+}
+
+/// One live DHT node: Chord geometry replica, the shared per-node
+/// protocol state, and the wire plumbing — all driven through a
+/// [`Transport`].
 #[derive(Debug)]
 pub struct WireNode {
-    pub(crate) id: u64,
+    pub(crate) core: NodeCore<LookupState>,
     bits: u8,
     pub(crate) raw_capacity: f64,
-    pub(crate) capacity_eval: u32,
-    pub(crate) d_max: u32,
     geometry: ChordGeometry,
     members: BTreeSet<u64>,
-    pub(crate) table: ElasticTable<u16, u64>,
-    queue: VecDeque<LookupState>,
-    in_service: Option<LookupState>,
-    pub(crate) period_load: u64,
-    pub(crate) total_received: u64,
-    pub(crate) max_congestion: f64,
-    pub(crate) heavy_encounters: u64,
     decide: SimRng,
     build_rng: SimRng,
-    ert: ErtParams,
-    light: SimDuration,
-    heavy: SimDuration,
-    max_hops: u32,
-    protocol: MiniProtocol,
+    cfg: MiniDhtConfig,
     adapt_round: u32,
     stabilize_round: u32,
 }
@@ -132,35 +232,18 @@ impl WireNode {
         cfg: &MiniDhtConfig,
         protocol: MiniProtocol,
     ) -> WireNode {
-        let d_max = match protocol {
-            MiniProtocol::Classic => u32::MAX >> 8,
-            MiniProtocol::ElasticErt => capacity_eval,
-        };
         let mut members: BTreeSet<u64> = view.iter().copied().collect();
         members.insert(id);
         let member_list: Vec<u64> = members.iter().copied().collect();
         WireNode {
-            id,
+            core: NodeCore::new(id, capacity_eval, protocol),
             bits,
             raw_capacity,
-            capacity_eval,
-            d_max,
             geometry: ChordGeometry::from_members(bits, &member_list),
             members,
-            table: ElasticTable::new(),
-            queue: VecDeque::new(),
-            in_service: None,
-            period_load: 0,
-            total_received: 0,
-            max_congestion: 0.0,
-            heavy_encounters: 0,
             decide: SimRng::seed_from(cfg.seed ^ id).fork("decide"),
             build_rng: SimRng::seed_from(cfg.seed ^ id),
-            ert: cfg.ert,
-            light: cfg.light_service,
-            heavy: cfg.heavy_service,
-            max_hops: cfg.max_hops,
-            protocol,
+            cfg: *cfg,
             adapt_round: 0,
             stabilize_round: 0,
         }
@@ -168,17 +251,12 @@ impl WireNode {
 
     /// Ring id of this node.
     pub fn id(&self) -> u64 {
-        self.id
+        self.core.id
     }
 
     /// Current backward-finger count.
     pub fn indegree(&self) -> u32 {
-        self.table.indegree() as u32
-    }
-
-    /// Current adaptive indegree bound.
-    pub fn d_max(&self) -> u32 {
-        self.d_max
+        self.core.table.indegree() as u32
     }
 
     /// Sorted membership view.
@@ -191,59 +269,14 @@ impl WireNode {
         &self.geometry
     }
 
-    fn load(&self) -> usize {
-        self.queue.len() + usize::from(self.in_service.is_some())
-    }
-
-    fn is_heavy(&self) -> bool {
-        self.load() > self.capacity_eval as usize
-    }
-
-    fn spare(&self) -> i64 {
-        self.d_max as i64 - self.table.indegree() as i64
-    }
-
     fn load_report(&self, token: u64) -> Message {
         Message::LoadReport {
             token,
-            load: self.load() as u64,
-            capacity: self.capacity_eval as u64,
-            indegree: self.table.indegree() as u32,
-            spare: self.spare(),
+            load: self.core.load() as u64,
+            capacity: u64::from(self.core.capacity_eval),
+            indegree: self.indegree(),
+            spare: self.core.spare(),
         }
-    }
-
-    /// Canonical routing-state fingerprint, formatted exactly like
-    /// `MiniDht::table_fingerprints` so oracle comparisons are string
-    /// equality.
-    pub fn fingerprint(&self) -> String {
-        let out: Vec<String> = self
-            .table
-            .occupied_slots()
-            .map(|s| {
-                let ids: Vec<String> = self.table.outlinks(s).iter().map(u64::to_string).collect();
-                format!("{s}:{}", ids.join(","))
-            })
-            .collect();
-        let mem: Vec<String> = self
-            .table
-            .occupied_slots()
-            .filter_map(|s| self.table.memory(s).map(|m| format!("{s}:{m}")))
-            .collect();
-        let back: Vec<String> = self
-            .table
-            .backward_fingers()
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        format!(
-            "id={};dmax={};out=[{}];mem=[{}];back=[{}]",
-            self.id,
-            self.d_max,
-            out.join("|"),
-            mem.join("|"),
-            back.join(",")
-        )
     }
 
     fn rebuild_geometry(&mut self) {
@@ -261,6 +294,18 @@ impl WireNode {
         grew
     }
 
+    /// Merges the membership view a `Join`/`Stabilize` reply carries.
+    fn merge_reply(&mut self, reply: &[u8]) -> Result<bool, NodeError> {
+        match decode(reply)? {
+            Message::Join { members, .. } | Message::Stabilize { members, .. } => {
+                Ok(self.merge_view(&members))
+            }
+            other => Err(NodeError::Protocol(format!(
+                "membership reply carried unexpected message {other:?}"
+            ))),
+        }
+    }
+
     // ---- membership ----------------------------------------------------
 
     /// Joins the overlay through `bootstrap`: announces ourselves and
@@ -274,19 +319,12 @@ impl WireNode {
         let reply = t.request(
             bootstrap,
             &encode(&Message::Join {
-                id: self.id,
+                id: self.core.id,
                 members: view,
             }),
         )?;
-        match decode(&reply)? {
-            Message::Join { members, .. } | Message::Stabilize { members, .. } => {
-                self.merge_view(&members);
-                Ok(())
-            }
-            other => Err(NodeError::Protocol(format!(
-                "join reply carried unexpected message {other:?}"
-            ))),
-        }
+        self.merge_reply(&reply)?;
+        Ok(())
     }
 
     /// One stabilize round: exchange membership views with every peer in
@@ -304,7 +342,7 @@ impl WireNode {
         let peers = self.members_view();
         let mut grew = false;
         for peer in peers {
-            if peer == self.id {
+            if peer == self.core.id {
                 continue;
             }
             let reply = match t.request(
@@ -320,16 +358,7 @@ impl WireNode {
                 }
                 Err(e) => return Err(e.into()),
             };
-            match decode(&reply)? {
-                Message::Stabilize { members, .. } | Message::Join { members, .. } => {
-                    grew |= self.merge_view(&members);
-                }
-                other => {
-                    return Err(NodeError::Protocol(format!(
-                        "stabilize reply carried unexpected message {other:?}"
-                    )))
-                }
-            }
+            grew |= self.merge_reply(&reply)?;
         }
         Ok(grew)
     }
@@ -340,9 +369,9 @@ impl WireNode {
     ///
     /// Only local send failures surface; the datagram may be lost.
     pub fn announce_leave(&mut self, t: &mut dyn Transport) -> Result<(), NodeError> {
-        let frame = encode(&Message::Leave { id: self.id });
+        let frame = encode(&Message::Leave { id: self.core.id });
         for peer in self.members_view() {
-            if peer != self.id {
+            if peer != self.core.id {
                 t.send(peer, &frame)?;
             }
         }
@@ -351,10 +380,10 @@ impl WireNode {
 
     // ---- link construction ---------------------------------------------
 
-    /// Builds the routing table over the wire, replicating the
-    /// simulator's `build_table` exactly: classic picks for structural
-    /// slots, spare-indegree-restricted random picks (from the private
-    /// build stream) for elastic slots, then indegree expansion to the
+    /// Builds the routing table over the wire with the shared
+    /// [`node::build_links`]: classic picks for structural slots,
+    /// spare-indegree-restricted random picks (from the private build
+    /// stream) for elastic slots, then indegree expansion to the
     /// `β`-target.
     ///
     /// # Errors
@@ -363,135 +392,12 @@ impl WireNode {
     /// skipped exactly where the simulator's directory returns its
     /// unknown-peer defaults.
     pub fn build_links(&mut self, t: &mut dyn Transport) -> Result<(), NodeError> {
-        match self.protocol {
-            MiniProtocol::Classic => {
-                for (slot, members) in self.geometry.table_slots(self.id) {
-                    if let Some(pick) = self.geometry.classic_pick(self.id, slot, &members) {
-                        if !self.table.outlinks(slot).contains(&pick) {
-                            self.add_link(t, slot, pick)?;
-                        }
-                    }
-                }
-            }
-            MiniProtocol::ElasticErt => {
-                for (slot, members) in self.geometry.table_slots(self.id) {
-                    let pick = if self.geometry.is_structural(slot) {
-                        self.geometry.classic_pick(self.id, slot, &members)
-                    } else {
-                        let mut eligible: Vec<u64> = Vec::new();
-                        for c in members {
-                            if self.spare_of(t, c)? >= 1 {
-                                eligible.push(c);
-                            }
-                        }
-                        self.build_rng.choose(&eligible).copied()
-                    };
-                    if let Some(pick) = pick {
-                        if !self.table.outlinks(slot).contains(&pick) {
-                            self.add_link(t, slot, pick)?;
-                        }
-                    }
-                }
-                let target = initial_indegree_target(&self.ert, self.d_max);
-                self.expand_indegree(t, target)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn add_link(&mut self, t: &mut dyn Transport, slot: u16, pick: u64) -> Result<(), NodeError> {
-        self.table.add_outlink(slot, pick);
-        if !self.geometry.is_structural(slot) {
-            match t.request(
-                pick,
-                &encode(&Message::AdaptIndegree {
-                    from: self.id,
-                    slot,
-                    op: AdaptOp::AddBackward,
-                }),
-            ) {
-                Ok(_) | Err(TransportError::UnknownPeer(_)) => {}
-                Err(TransportError::Partitioned { .. }) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
-    }
-
-    /// Remote spare indegree, as the simulator's directory reports it:
-    /// unknown or unreachable peers count as 0 (never eligible).
-    fn spare_of(&mut self, t: &mut dyn Transport, peer: u64) -> Result<i64, NodeError> {
-        match t.request(peer, &encode(&Message::ProbeLoad { token: 0 })) {
-            Ok(bytes) => match decode(&bytes)? {
-                Message::LoadReport { spare, .. } => Ok(spare),
-                other => Err(NodeError::Protocol(format!(
-                    "probe reply carried unexpected message {other:?}"
-                ))),
-            },
-            Err(TransportError::UnknownPeer(_) | TransportError::Partitioned { .. }) => Ok(0),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Wire mirror of `ert_core::expand_indegree`: walk the geometry's
-    /// inlink candidates, querying each holder for an existing link and
-    /// asking it to add one, until the indegree target is met. The loop
-    /// body is intentionally the same shape as the shared-memory
-    /// version; the differential oracle pins the equivalence.
-    fn expand_indegree(&mut self, t: &mut dyn Transport, target: u32) -> Result<u32, NodeError> {
-        let mut gained = 0;
-        if self.indegree() >= target {
-            return Ok(gained);
-        }
-        for (slot, cand) in self.geometry.inlink_candidates(self.id) {
-            if self.indegree() >= target {
-                break;
-            }
-            if cand == self.id {
-                continue;
-            }
-            let has = match t.request(
-                cand,
-                &encode(&Message::AdaptIndegree {
-                    from: self.id,
-                    slot,
-                    op: AdaptOp::QueryOutlink,
-                }),
-            ) {
-                Ok(bytes) => match decode(&bytes)? {
-                    Message::LoadReport { load, .. } => load != 0,
-                    other => {
-                        return Err(NodeError::Protocol(format!(
-                            "query-outlink reply carried unexpected message {other:?}"
-                        )))
-                    }
-                },
-                Err(TransportError::UnknownPeer(_) | TransportError::Partitioned { .. }) => {
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            if has {
-                continue;
-            }
-            match t.request(
-                cand,
-                &encode(&Message::AdaptIndegree {
-                    from: self.id,
-                    slot,
-                    op: AdaptOp::AddOutlink,
-                }),
-            ) {
-                Ok(_) => {}
-                Err(TransportError::UnknownPeer(_) | TransportError::Partitioned { .. }) => {
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            }
-            self.table.add_backward(cand);
-            gained += 1;
-        }
-        Ok(gained)
+        let mut rpc = Rpc {
+            core: &mut self.core,
+            geometry: &self.geometry,
+            t,
+        };
+        node::build_links(&mut rpc, &self.geometry, &self.cfg, &mut self.build_rng)
     }
 
     // ---- datagram lane -------------------------------------------------
@@ -514,18 +420,22 @@ impl WireNode {
             } => {
                 let st = LookupState {
                     query,
-                    key,
-                    hops,
                     attempts,
-                    numeric_mode: flags & 1 != 0,
-                    avoid: avoid.into_iter().collect(),
+                    route: Route {
+                        key,
+                        hops,
+                        numeric_mode: flags & 1 != 0,
+                        avoid: avoid.into_iter().collect(),
+                    },
                 };
-                self.on_lookup(t, st);
+                if self.core.arrive(st) {
+                    self.start_service_timer(t, query);
+                }
                 Ok(())
             }
             Message::Leave { id } => {
                 if self.members.remove(&id) {
-                    self.table.purge_peer(id);
+                    self.core.table.purge_peer(id);
                     self.rebuild_geometry();
                 }
                 Ok(())
@@ -536,35 +446,11 @@ impl WireNode {
         }
     }
 
-    /// Lookup arrival: the simulator's `on_arrive`, verbatim — heavy
-    /// accounting, then service-or-queue, then the congestion high-water
-    /// mark.
-    fn on_lookup(&mut self, t: &mut dyn Transport, st: LookupState) {
-        if self.is_heavy() {
-            self.heavy_encounters += 1;
-        }
-        self.total_received += 1;
-        self.period_load += 1;
-        if self.in_service.is_none() {
-            self.start_service(t, st);
-        } else {
-            self.queue.push_back(st);
-        }
-        let g = self.load() as f64 / self.capacity_eval as f64;
-        if g > self.max_congestion {
-            self.max_congestion = g;
-        }
-    }
-
-    fn start_service(&mut self, t: &mut dyn Transport, st: LookupState) {
-        let query = st.query;
-        self.in_service = Some(st);
-        let service = if self.is_heavy() {
-            self.heavy
-        } else {
-            self.light
-        };
-        t.timer(service, TimerKind::ServiceDone { query });
+    fn start_service_timer(&self, t: &mut dyn Transport, query: u64) {
+        t.timer(
+            self.core.service_time(&self.cfg),
+            TimerKind::ServiceDone { query },
+        );
     }
 
     // ---- RPC lane ------------------------------------------------------
@@ -581,41 +467,38 @@ impl WireNode {
         match decode(frame)? {
             Message::ProbeLoad { token } => Ok(encode(&self.load_report(token))),
             Message::AdaptIndegree { from, slot, op } => {
+                let table = &mut self.core.table;
                 let reply = match op {
                     AdaptOp::QueryOutlink => {
-                        let has = self.table.outlinks(slot).contains(&from);
+                        let has = u64::from(table.outlinks(slot).contains(&from));
                         Message::LoadReport {
-                            token: u64::from(has),
-                            load: u64::from(has),
-                            capacity: self.capacity_eval as u64,
-                            indegree: self.table.indegree() as u32,
-                            spare: self.spare(),
+                            token: has,
+                            load: has,
+                            capacity: u64::from(self.core.capacity_eval),
+                            indegree: self.indegree(),
+                            spare: self.core.spare(),
                         }
                     }
                     AdaptOp::AddOutlink => {
-                        self.table.add_outlink(slot, from);
+                        table.add_outlink(slot, from);
                         self.load_report(0)
                     }
                     AdaptOp::DropOutlinks => {
-                        let slots: Vec<u16> = self.table.occupied_slots().collect();
-                        for s in slots {
-                            self.table.remove_outlink(s, from);
-                        }
+                        self.core.drop_outlinks_to(from);
                         self.load_report(0)
                     }
                     AdaptOp::AddBackward => {
-                        self.table.add_backward(from);
+                        table.add_backward(from);
                         self.load_report(0)
                     }
                 };
                 Ok(encode(&reply))
             }
-            Message::Join { id, members } => {
-                self.members.insert(id);
+            Message::Join { id, mut members } => {
+                members.push(id);
                 self.merge_view(&members);
-                self.rebuild_geometry();
                 Ok(encode(&Message::Join {
-                    id: self.id,
+                    id: self.core.id,
                     members: self.members_view(),
                 }))
             }
@@ -647,191 +530,76 @@ impl WireNode {
     ) -> Result<Option<AdaptTrace>, NodeError> {
         match kind {
             TimerKind::ServiceDone { query } => {
-                if self.in_service.as_ref().map(|s| s.query) != Some(query) {
+                if self.core.in_service.as_ref().map(|s| s.query) != Some(query) {
                     return Ok(None);
                 }
-                let Some(st) = self.in_service.take() else {
+                let Some(st) = self.core.finish_service() else {
                     return Ok(None);
                 };
                 // Start the next service *before* forwarding, exactly as
                 // the simulator schedules the next Done before the
                 // forwarded Arrive — the (time, seq) merge key preserves
                 // the relative order.
-                if let Some(next) = self.queue.pop_front() {
-                    self.start_service(t, next);
+                if let Some(next) = self.core.in_service.as_ref().map(|s| s.query) {
+                    self.start_service_timer(t, next);
                 }
-                if self.geometry.owner(st.key) == Some(self.id) {
-                    self.reply(t, st.query, LookupStatus::Found, self.id, st.hops)?;
-                } else {
-                    self.forward(t, st)?;
-                }
+                self.forward(t, st)?;
                 Ok(None)
             }
-            TimerKind::AdaptTick => self.adapt(t).map(Some),
+            TimerKind::AdaptTick => {
+                let mut rpc = Rpc {
+                    core: &mut self.core,
+                    geometry: &self.geometry,
+                    t,
+                };
+                let trace = node::adapt(&mut rpc, &self.cfg, self.adapt_round)?;
+                self.adapt_round += 1;
+                Ok(Some(trace))
+            }
         }
     }
 
-    fn reply(
-        &mut self,
-        t: &mut dyn Transport,
-        query: u64,
-        status: LookupStatus,
-        owner: u64,
-        hops: u32,
-    ) -> Result<(), NodeError> {
-        t.send(
-            CLIENT_ADDR,
-            &encode(&Message::LookupReply {
-                query,
-                status,
-                owner,
-                hops,
-            }),
-        )?;
-        Ok(())
-    }
-
-    fn probe(&mut self, t: &mut dyn Transport, peer: u64, token: u64) -> Result<Probe, NodeError> {
-        match t.request(peer, &encode(&Message::ProbeLoad { token })) {
-            Ok(bytes) => match decode(&bytes)? {
-                Message::LoadReport { load, capacity, .. } => Ok(Probe::Report(load, capacity)),
-                other => Err(NodeError::Protocol(format!(
-                    "probe reply carried unexpected message {other:?}"
-                ))),
-            },
-            Err(TransportError::UnknownPeer(_)) => Ok(Probe::Unknown),
-            Err(TransportError::Partitioned { .. }) => Ok(Probe::Unreachable),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// The simulator's `forward`, as wire exchanges: hop-limit check,
-    /// owner resolution on the geometry replica, candidate discovery
-    /// from the local table, per-candidate load probes, then
-    /// `choose_next_b` on the private decide stream.
+    /// Routes a served lookup with the shared [`node::hop`] (probes as
+    /// RPCs, choices from the private decide stream): sends it on as a
+    /// datagram, or answers the client when the step ends it.
     fn forward(&mut self, t: &mut dyn Transport, mut st: LookupState) -> Result<(), NodeError> {
-        if st.hops >= self.max_hops {
-            return self.reply(t, st.query, LookupStatus::Dropped, 0, st.hops);
-        }
-        let Some(owner) = self.geometry.owner(st.key) else {
-            return self.reply(t, st.query, LookupStatus::Failed, 0, st.hops);
+        let mut rpc = Rpc {
+            core: &mut self.core,
+            geometry: &self.geometry,
+            t,
         };
-        let hc =
-            self.geometry
-                .hop_candidates(self.id, owner, &mut self.table, &mut st.numeric_mode);
-        let mut cands: Vec<Candidate<u64>> = Vec::with_capacity(hc.ids.len());
-        for &c in &hc.ids {
-            let (load, capacity) = match self.probe(t, c, st.query)? {
-                Probe::Report(load, capacity) => (load as f64, capacity as f64),
-                Probe::Unknown => (0.0, 1.0),
-                Probe::Unreachable => continue,
-            };
-            cands.push(Candidate {
-                id: c,
-                load,
-                capacity,
-                logical_distance: self.geometry.metric(c, owner),
-                physical_distance: 0.0,
-            });
-        }
-        let policy = match self.protocol {
-            MiniProtocol::Classic => ForwardPolicy::Deterministic,
-            MiniProtocol::ElasticErt => ForwardPolicy::TwoChoice {
-                topology_aware: true,
-                use_memory: true,
-            },
-        };
-        let memory = self.table.memory(hc.slot);
-        let Some(choice) = choose_next_b(
-            policy,
-            &cands,
-            memory,
-            &st.avoid,
-            self.ert.gamma_l,
-            self.ert.probe_width,
+        let hop = node::hop(
+            &mut rpc,
+            &self.geometry,
+            &self.cfg,
+            &mut st.route,
+            st.query,
             &mut self.decide,
-        ) else {
-            // Every candidate was partition-hidden: terminal failure
-            // rather than the simulator's panic (the sim never gets
-            // here because its candidate list is never emptied).
-            return self.reply(t, st.query, LookupStatus::Failed, 0, st.hops);
-        };
-        for o in &choice.newly_overloaded {
-            st.avoid.insert(*o);
-        }
-        if let Some(mem) = choice.new_memory {
-            if policy != ForwardPolicy::Deterministic {
-                self.table.set_memory(hc.slot, mem);
+        )?;
+        let (status, owner) = match hop {
+            Hop::Found => (LookupStatus::Found, self.core.id),
+            Hop::Dropped => (LookupStatus::Dropped, 0),
+            Hop::Failed => (LookupStatus::Failed, 0),
+            Hop::Next(next) => {
+                let frame = encode(&Message::Lookup {
+                    query: st.query,
+                    key: st.route.key,
+                    hops: st.route.hops,
+                    attempts: st.attempts,
+                    flags: u8::from(st.route.numeric_mode),
+                    avoid: st.route.avoid.into_iter().collect(),
+                });
+                t.send(next, &frame)?;
+                return Ok(());
             }
-        }
-        st.hops += 1;
-        let frame = encode(&Message::Lookup {
+        };
+        let reply = Message::LookupReply {
             query: st.query,
-            key: st.key,
-            hops: st.hops,
-            attempts: st.attempts,
-            flags: u8::from(st.numeric_mode),
-            avoid: st.avoid.iter().copied().collect(),
-        });
-        t.send(choice.next, &frame)?;
-        Ok(())
-    }
-
-    /// One adaptation round for this node: the simulator's per-node
-    /// `on_adapt` body with the victim/candidate operations issued as
-    /// `AdaptIndegree` RPCs.
-    fn adapt(&mut self, t: &mut dyn Transport) -> Result<AdaptTrace, NodeError> {
-        let load = self.period_load as f64;
-        let capacity = self.capacity_eval as f64;
-        let mut delta: i64 = 0;
-        match adaptation_action(load, capacity, &self.ert) {
-            AdaptAction::Keep => {}
-            AdaptAction::Shed(x) => {
-                let x = x.min(self.table.indegree() as u32);
-                delta = -(x as i64);
-                let victims: Vec<u64> = self
-                    .table
-                    .backward_fingers()
-                    .iter()
-                    .rev()
-                    .take(x as usize)
-                    .copied()
-                    .collect();
-                for v in victims {
-                    match t.request(
-                        v,
-                        &encode(&Message::AdaptIndegree {
-                            from: self.id,
-                            slot: 0,
-                            op: AdaptOp::DropOutlinks,
-                        }),
-                    ) {
-                        Ok(_)
-                        | Err(
-                            TransportError::UnknownPeer(_) | TransportError::Partitioned { .. },
-                        ) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                    self.table.remove_backward(v);
-                }
-                self.d_max = self.d_max.saturating_sub(x).max(1);
-            }
-            AdaptAction::Grow(x) => {
-                delta = x as i64;
-                let cap = 8 * self.capacity_eval.max(8);
-                self.d_max = (self.d_max + x).min(cap);
-                let target = (self.table.indegree() as u32 + x).min(self.d_max);
-                self.expand_indegree(t, target)?;
-            }
-        }
-        self.period_load = 0;
-        let trace = AdaptTrace {
-            round: self.adapt_round,
-            node: self.id,
-            delta,
-            d_max: self.d_max,
+            status,
+            owner,
+            hops: st.route.hops,
         };
-        self.adapt_round += 1;
-        Ok(trace)
+        t.send(CLIENT_ADDR, &encode(&reply))?;
+        Ok(())
     }
 }

@@ -14,6 +14,11 @@
 //! * bit-identical scalar outcomes (completions, drops, mean lookup
 //!   time compared via `f64::to_bits`).
 //!
+//! Both sides run the same per-node protocol code (`ert_minidht::node`,
+//! over an in-memory or an RPC-backed directory), so the oracle checks
+//! what differs on the wire: codec, two-lane transport, message order,
+//! RNG program points and fault adjudication.
+//!
 //! The correspondence is engineered, not accidental: the wire cluster
 //! orders events on the same `(time, seq)` merge key as the simulator
 //! heap, allocates sequence numbers at emission, and draws from the

@@ -4,6 +4,7 @@
 //! and Pastry geometries through small [`Directory`] adapters.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 use ert_repro::core::{
     assign::initial_indegree_target, build_table, expand_indegree, max_indegree, Directory,
@@ -38,6 +39,7 @@ struct ChordDirectory {
 impl Directory for ChordDirectory {
     type Id = u64;
     type Slot = u32;
+    type Error = Infallible;
 
     fn table_slots(&self, node: u64) -> Vec<(u32, Vec<u64>)> {
         (0..self.space.bits())
@@ -59,21 +61,23 @@ impl Directory for ChordDirectory {
         out
     }
 
-    fn spare_indegree(&self, node: u64) -> i64 {
-        self.state.d_max[&node] as i64 - self.state.indegree.get(&node).copied().unwrap_or(0) as i64
+    fn spare_indegree(&mut self, node: u64) -> Result<i64, Infallible> {
+        Ok(self.state.d_max[&node] as i64
+            - self.state.indegree.get(&node).copied().unwrap_or(0) as i64)
     }
 
-    fn indegree(&self, node: u64) -> u32 {
-        self.state.indegree.get(&node).copied().unwrap_or(0)
+    fn indegree(&mut self, node: u64) -> Result<u32, Infallible> {
+        Ok(self.state.indegree.get(&node).copied().unwrap_or(0))
     }
 
-    fn has_link(&self, from: u64, slot: u32, to: u64) -> bool {
-        self.state.links.contains(&(from, slot, to))
+    fn has_link(&mut self, from: u64, slot: u32, to: u64) -> Result<bool, Infallible> {
+        Ok(self.state.links.contains(&(from, slot, to)))
     }
 
-    fn add_link(&mut self, from: u64, slot: u32, to: u64) {
+    fn add_link(&mut self, from: u64, slot: u32, to: u64) -> Result<(), Infallible> {
         self.state.links.push((from, slot, to));
         *self.state.indegree.entry(to).or_insert(0) += 1;
+        Ok(())
     }
 }
 
@@ -87,6 +91,7 @@ impl Directory for PastryDirectory {
     type Id = u64;
     // Slot = row * base + col.
     type Slot = u32;
+    type Error = Infallible;
 
     fn table_slots(&self, node: u64) -> Vec<(u32, Vec<u64>)> {
         let mut out = Vec::new();
@@ -117,21 +122,23 @@ impl Directory for PastryDirectory {
         out
     }
 
-    fn spare_indegree(&self, node: u64) -> i64 {
-        self.state.d_max[&node] as i64 - self.state.indegree.get(&node).copied().unwrap_or(0) as i64
+    fn spare_indegree(&mut self, node: u64) -> Result<i64, Infallible> {
+        Ok(self.state.d_max[&node] as i64
+            - self.state.indegree.get(&node).copied().unwrap_or(0) as i64)
     }
 
-    fn indegree(&self, node: u64) -> u32 {
-        self.state.indegree.get(&node).copied().unwrap_or(0)
+    fn indegree(&mut self, node: u64) -> Result<u32, Infallible> {
+        Ok(self.state.indegree.get(&node).copied().unwrap_or(0))
     }
 
-    fn has_link(&self, from: u64, slot: u32, to: u64) -> bool {
-        self.state.links.contains(&(from, slot, to))
+    fn has_link(&mut self, from: u64, slot: u32, to: u64) -> Result<bool, Infallible> {
+        Ok(self.state.links.contains(&(from, slot, to)))
     }
 
-    fn add_link(&mut self, from: u64, slot: u32, to: u64) {
+    fn add_link(&mut self, from: u64, slot: u32, to: u64) -> Result<(), Infallible> {
         self.state.links.push((from, slot, to));
         *self.state.indegree.entry(to).or_insert(0) += 1;
+        Ok(())
     }
 }
 
@@ -164,11 +171,11 @@ fn ert_builds_and_expands_on_chord() {
 
     let mut reached = 0;
     for &id in &ids {
-        let created = build_table(&mut dir, id, &mut rng);
+        let Ok(created) = build_table(&mut dir, id, &mut rng);
         assert!(created > 0, "node {id:#b} built an empty table");
         let target = initial_indegree_target(&params, dir.state.d_max[&id]);
-        expand_indegree(&mut dir, id, target);
-        if dir.indegree(id) >= target {
+        let Ok(_) = expand_indegree(&mut dir, id, target);
+        if dir.indegree(id) >= Ok(target) {
             reached += 1;
         }
     }
@@ -204,9 +211,9 @@ fn ert_builds_and_expands_on_pastry() {
     let params = ErtParams::default();
 
     for &id in &ids {
-        build_table(&mut dir, id, &mut rng);
+        let Ok(_) = build_table(&mut dir, id, &mut rng);
         let target = initial_indegree_target(&params, dir.state.d_max[&id]);
-        expand_indegree(&mut dir, id, target);
+        let Ok(_) = expand_indegree(&mut dir, id, target);
     }
     // Validity: every link's target shares the prefix and column its
     // slot demands.
@@ -223,7 +230,7 @@ fn ert_builds_and_expands_on_pastry() {
         );
     }
     // Expansion must have produced meaningful indegree somewhere.
-    let expanded = ids.iter().filter(|&&id| dir.indegree(id) >= 3).count();
+    let expanded = ids.iter().filter(|&&id| dir.indegree(id) >= Ok(3)).count();
     assert!(
         expanded * 3 >= ids.len(),
         "{expanded}/{} pastry nodes expanded",
