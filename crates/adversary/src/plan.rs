@@ -58,7 +58,7 @@ pub enum AdversaryKind {
     /// fraction `key`, injected evenly over `window` starting at the
     /// event time, layered onto the base workload. Pair large floods
     /// with streaming-statistics mode (`NetworkConfig::stream_stats`,
-    /// the `ert-obs` P² sketches) so 10⁶-query floods keep the metric
+    /// the `ert_sim::stats` P² sketches) so 10⁶-query floods keep the metric
     /// collectors O(1) in memory.
     QueryFlood {
         /// Flooded key as a ring fraction, in `[0, 1)`.

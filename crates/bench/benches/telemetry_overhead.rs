@@ -2,14 +2,14 @@
 //!
 //! The contract (see `ert_telemetry::Telemetry::emit`) is that a
 //! disabled pipeline costs one predictable branch per site — the event
-//! closure must not run. The `disabled/*` benches measure batches of
+//! closure must not run. The `disabled/*` bench measures batches of
 //! 1000 sites, so the per-site cost is the printed per-iteration time
-//! divided by 1000: expect well under 5 ns/site. The `enabled/*`
-//! benches price the full path (serialize + sink) for comparison.
+//! divided by 1000: expect well under 5 ns/site. The `enabled/*` bench
+//! prices the full path into the bounded trace ring for comparison.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ert_sim::SimTime;
-use ert_telemetry::{RingSink, Telemetry, TelemetryEvent};
+use ert_telemetry::{Telemetry, TelemetryEvent};
 
 const SITES: u64 = 1000;
 
@@ -28,37 +28,11 @@ fn bench_disabled(c: &mut Criterion) {
             black_box(tel.events_emitted())
         })
     });
-    group.bench_function("observe_1000_sites", |b| {
-        let mut tel = Telemetry::disabled();
-        b.iter(|| {
-            for i in 0..SITES {
-                tel.observe("congestion_p99", SimTime::from_micros(i), || {
-                    black_box(i as f64) * 0.5
-                });
-            }
-            black_box(tel.registry().is_empty())
-        })
-    });
     group.finish();
 }
 
 fn bench_enabled(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry/enabled");
-    group.bench_function("emit_1000_sites_ring", |b| {
-        let sink = RingSink::new(256);
-        let mut tel = Telemetry::disabled();
-        tel.add_sink(Box::new(sink));
-        b.iter(|| {
-            for i in 0..SITES {
-                tel.emit(SimTime::from_micros(i), || TelemetryEvent::LookupHop {
-                    q: black_box(i),
-                    from: i,
-                    to: i + 1,
-                });
-            }
-            black_box(tel.events_emitted())
-        })
-    });
     group.bench_function("emit_1000_sites_trace_ring", |b| {
         let mut tel = Telemetry::with_trace_capacity(256);
         b.iter(|| {

@@ -98,7 +98,7 @@ const D6_CRATES: &[&str] = &["ert-faults"];
 /// Hot-loop modules where per-event sample accumulation grows without
 /// bound over a run (rule D8): the sim engine and the network event
 /// handlers. A `--stream-stats` run must hold O(1) memory per metric,
-/// so these files collect through a [`Digest`](../../obs/src/digest.rs)
+/// so these files collect through a [`Digest`](../../sim/src/stats/digest.rs)
 /// (`Collector`/`StreamSummary`); uses that are bounded by construction
 /// carry a justified suppression naming the bound.
 const D8_FILES: &[&str] = &["crates/sim/src/engine.rs", "crates/network/src/network.rs"];

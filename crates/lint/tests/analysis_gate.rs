@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use ert_obs::Json;
+use ert_telemetry::Json;
 
 /// A throwaway workspace under the system temp dir; removed on drop.
 struct Fixture {

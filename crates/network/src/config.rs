@@ -45,7 +45,7 @@ pub struct NetworkConfig {
     /// loading every intermediate node a second time.
     pub anonymous_responses: bool,
     /// Number of trace entries to retain for debugging (0 disables
-    /// tracing; see [`ert_sim::TraceLog`]).
+    /// tracing; see [`ert_telemetry::TraceLog`]).
     pub trace_capacity: usize,
     /// Telemetry sampling interval: every Δt of sim time the run takes
     /// a time-series snapshot (congestion percentiles, degree census,

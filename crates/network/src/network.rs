@@ -9,8 +9,8 @@ use ert_core::{
 };
 use ert_faults::{FaultEvent, FaultKind, FaultPlan};
 use ert_overlay::{Coord, CycloidId, CycloidSpace};
-use ert_sim::{Engine, SampleClock, SimDuration, SimRng, SimTime, TraceLog};
-use ert_telemetry::{Snapshot, Telemetry, TelemetryEvent};
+use ert_sim::{Engine, SampleClock, SimDuration, SimRng, SimTime};
+use ert_telemetry::{Snapshot, Telemetry, TelemetryEvent, TraceLog};
 use rand::Rng;
 
 use crate::config::NetworkConfig;
@@ -355,8 +355,8 @@ impl Network {
         self.telemetry.trace()
     }
 
-    /// Read access to the run's telemetry pipeline (snapshots, registry,
-    /// trace ring).
+    /// Read access to the run's telemetry pipeline (snapshots, trace
+    /// ring).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -711,8 +711,8 @@ impl Network {
                 q: qid,
                 hop,
                 node: node_lin,
-                span: ert_obs::span::span_id(qid, hop),
-                parent: ert_obs::span::parent_id(qid, hop),
+                span: ert_telemetry::span::span_id(qid, hop),
+                parent: ert_telemetry::span::parent_id(qid, hop),
                 enqueued: enq,
                 service_start: svc,
                 service_end: now.as_micros(),
@@ -1284,9 +1284,6 @@ impl Network {
             alive_nodes,
             alive_hosts: self.alive_hosts.len() as u64,
         });
-        self.telemetry
-            .observe("congestion_p99", now, || congestion_p99);
-        self.telemetry.counter_add("samples", 1);
         if let Some(clock) = &mut self.sample_clock {
             clock.advance();
             if self.injections_left > 0 || self.outstanding > 0 {
@@ -2000,7 +1997,6 @@ mod tests {
         }
         assert_eq!(snaps[0].at.as_micros(), 500_000);
         assert!(snaps.iter().all(|s| s.alive_hosts == 64));
-        assert_eq!(tel.registry().counter("samples"), snaps.len() as u64);
     }
 
     /// Local stand-in for `ert_baselines::base()` (the baselines crate

@@ -12,9 +12,10 @@
 //! * [`SimRng`] — a seedable, stream-splittable ChaCha12 random number
 //!   generator so every experiment is reproducible from a single `u64`
 //!   seed.
-//! * [`stats`] — the small statistics toolkit (online moments, percentile
-//!   sketches, histograms) used to report the paper's metrics (99th
-//!   percentile congestion, shares, lookup times, ...).
+//! * [`stats`] — the small statistics toolkit (online moments, exact
+//!   percentile collectors, the O(1)-memory P² streaming sketch,
+//!   histograms) used to report the paper's metrics (99th percentile
+//!   congestion, shares, lookup times, ...).
 //! * [`SampleClock`] — the cadence generator behind periodic telemetry
 //!   sampling: strictly increasing tick instants at a fixed Δt on the
 //!   sim clock, so two runs with the same interval sample identically.
@@ -63,7 +64,6 @@ mod rng;
 mod sample;
 pub mod stats;
 mod time;
-mod trace;
 
 pub use engine::Engine;
 pub use event::EventQueue;
@@ -71,4 +71,3 @@ pub use process::PoissonProcess;
 pub use rng::SimRng;
 pub use sample::SampleClock;
 pub use time::{SimDuration, SimTime};
-pub use trace::TraceLog;

@@ -9,15 +9,22 @@
 //! [`Histogram`] counts integer-valued observations (used for the
 //! Fig. 6 indegree census).
 //!
-//! The shared query interface is [`ert_obs::Digest`], which `Samples`,
+//! The shared query interface is [`Digest`], which `Samples`,
 //! `Histogram`, [`StreamSummary`], and [`Summary`] all implement;
-//! [`Summary`] itself lives in `ert-obs` and is re-exported here.
+//! collectors that accept observations also implement [`Record`]. The
+//! streaming backend is the deterministic P² sketch ([`P2Quantile`],
+//! composed into [`StreamSummary`]): no RNG, no wall clock, so its
+//! state is a pure function of the observation sequence.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-pub use ert_obs::{Digest, Record, StreamSummary, Summary};
+mod digest;
+mod sketch;
+
+pub use digest::{Digest, Record, Summary};
+pub use sketch::{P2Quantile, StreamSummary};
 
 /// A collector of `f64` observations supporting percentile queries.
 ///

@@ -182,7 +182,7 @@ pub enum TelemetryEvent {
     /// service at one node, covering the hop's queueing
     /// (`enqueued → service_start`) and service
     /// (`service_start → service_end`) phases. Span identifiers follow
-    /// the deterministic `ert-obs` scheme: `span = (q << 16) | (hop+1)`
+    /// the deterministic [`crate::span`] scheme: `span = (q << 16) | (hop+1)`
     /// and `parent` is the previous hop's span (or the lookup root
     /// `q << 16` at hop 0), so trees reconstruct offline from the
     /// event stream alone. Re-deliveries of the same hop index (after
@@ -194,9 +194,9 @@ pub enum TelemetryEvent {
         hop: u32,
         /// Linearized id of the serving node.
         node: u64,
-        /// Deterministic span id (`ert_obs::span::span_id(q, hop)`).
+        /// Deterministic span id (`span::span_id(q, hop)`).
         span: u64,
-        /// Parent span id (`ert_obs::span::parent_id(q, hop)`).
+        /// Parent span id (`span::parent_id(q, hop)`).
         parent: u64,
         /// Sim time (µs) the query entered this node's queue.
         enqueued: u64,

@@ -1,25 +1,33 @@
-//! Telemetry for the ERT simulator: a typed structured-event stream
-//! with pluggable sinks, a metric registry, and a periodic time-series
-//! sampler — one observability layer shared by every run.
+//! Observability for the ERT simulator, writer and reader in one crate:
+//! a typed structured-event stream with pluggable sinks, the bounded
+//! trace ring, a periodic time-series sampler, and the offline side that
+//! reads the stream back (a JSON reader, deterministic span ids, and the
+//! `trace-analyze` analyzer).
 //!
 //! The center is [`Telemetry`], which a simulation owns and drives:
 //!
 //! - [`Telemetry::emit`] records a [`TelemetryEvent`] lazily: the
 //!   closure building the event runs only when telemetry is enabled, so
 //!   the disabled path is a single branch (the same discipline as
-//!   `ert_sim::TraceLog`, and benchmarked under 5 ns in `ert-bench`).
+//!   [`TraceLog`], and benchmarked under 5 ns in `ert-bench`).
 //!   Enabled, each event goes to every attached [`EventSink`] as a
 //!   JSONL record and — when a trace capacity is set — to the bounded
 //!   human-readable trace ring via the event's `Display` form.
-//! - [`Telemetry::counter_add`] / [`gauge_set`](Telemetry::gauge_set) /
-//!   [`observe`](Telemetry::observe) feed the [`Registry`] of named
-//!   counters, gauges, and time-bucketed histograms.
 //! - [`Telemetry::record_snapshot`] retains periodic [`Snapshot`] rows
 //!   (driven by the sim clock at a configurable Δt) and streams them to
 //!   the sinks alongside the events.
 //!
 //! The JSONL stream is self-describing: every line is an object with a
 //! `kind` of `"event"`, `"snapshot"`, or `"report"`.
+//!
+//! The reading side: [`span`] holds the `(query id, hop index)` →
+//! span-id arithmetic that `ert-network` stamps on every
+//! [`TelemetryEvent::HopSpan`]; [`Json`] parses the stream back (the
+//! vendored `serde` crate only writes JSON); [`TraceAnalysis`] rebuilds
+//! each lookup's span chain and attributes p99 lookup latency to nodes
+//! and queues — the empirical counterpart of the Theorem 3.1/3.2
+//! congestion envelopes. The `trace-analyze` binary prints that report
+//! for a captured file.
 //!
 //! ```
 //! use ert_sim::SimTime;
@@ -41,20 +49,25 @@
 #![warn(missing_docs)]
 
 mod event;
-mod registry;
+mod json;
+mod ring;
 mod sample;
 mod sink;
+pub mod span;
+mod trace;
 
 pub use event::TelemetryEvent;
-pub use registry::{Bucket, Registry, TimeHistogram, DEFAULT_BUCKET_MICROS};
+pub use json::Json;
+pub use ring::TraceLog;
 pub use sample::Snapshot;
-pub use sink::{EventSink, JsonlSink, MemorySink, RingSink, SpanSink};
+pub use sink::{EventSink, JsonlSink, MemorySink};
+pub use trace::{HopSpan, LookupTrace, TraceAnalysis};
 
-use ert_sim::{SimTime, TraceLog};
+use ert_sim::SimTime;
 use serde::Serialize;
 
-/// The per-run telemetry pipeline: event stream, metric registry,
-/// snapshot series, and the human-readable trace ring.
+/// The per-run telemetry pipeline: event stream, snapshot series, and
+/// the human-readable trace ring.
 pub struct Telemetry {
     /// True when any recording destination exists; the only branch on
     /// the disabled fast path.
@@ -62,7 +75,6 @@ pub struct Telemetry {
     events_emitted: u64,
     sinks: Vec<Box<dyn EventSink>>,
     trace: TraceLog,
-    registry: Registry,
     snapshots: Vec<Snapshot>,
 }
 
@@ -99,7 +111,6 @@ impl Telemetry {
             events_emitted: 0,
             sinks: Vec::new(),
             trace: TraceLog::new(capacity),
-            registry: Registry::new(),
             snapshots: Vec::new(),
         }
     }
@@ -145,36 +156,6 @@ impl Telemetry {
         self.trace.record(at, || event.to_string());
     }
 
-    /// Adds to a named counter (no-op when disabled).
-    #[inline]
-    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.registry.counter_add(name, delta);
-    }
-
-    /// Sets a named gauge; the closure runs only when enabled.
-    #[inline]
-    pub fn gauge_set(&mut self, name: &'static str, value: impl FnOnce() -> f64) {
-        if !self.enabled {
-            return;
-        }
-        let v = value();
-        self.registry.gauge_set(name, v);
-    }
-
-    /// Records into a named time-bucketed histogram; the closure runs
-    /// only when enabled.
-    #[inline]
-    pub fn observe(&mut self, name: &'static str, at: SimTime, value: impl FnOnce() -> f64) {
-        if !self.enabled {
-            return;
-        }
-        let v = value();
-        self.registry.observe(name, at.as_micros(), v);
-    }
-
     /// Retains a periodic snapshot and streams it to the sinks. Not
     /// gated on `enabled`: the sampler only runs when a sample interval
     /// was configured, and the retained series is its product even with
@@ -192,8 +173,8 @@ impl Telemetry {
         self.snapshots.push(snapshot);
     }
 
-    /// Writes the end-of-run report record: the caller's report plus
-    /// this run's metric registry, as one `{"kind":"report",...}` line.
+    /// Writes the end-of-run report record: the caller's report as one
+    /// `{"kind":"report","report":...}` line.
     pub fn record_report<T: Serialize>(&mut self, report: &T) {
         if self.sinks.is_empty() {
             return;
@@ -201,8 +182,6 @@ impl Telemetry {
         let mut line = String::with_capacity(512);
         line.push_str("{\"kind\":\"report\",\"report\":");
         report.serialize_json(&mut line);
-        line.push_str(",\"registry\":");
-        self.registry.serialize_json(&mut line);
         line.push('}');
         for sink in &mut self.sinks {
             sink.record(&line);
@@ -224,11 +203,6 @@ impl Telemetry {
     /// The human-readable trace ring.
     pub fn trace(&self) -> &TraceLog {
         &self.trace
-    }
-
-    /// The metric registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Structured events recorded so far (independent of sink count).
@@ -259,10 +233,7 @@ mod tests {
     fn disabled_runs_no_closures() {
         let mut tel = Telemetry::disabled();
         tel.emit(SimTime::ZERO, || panic!("closure must not run"));
-        tel.gauge_set("g", || panic!("closure must not run"));
-        tel.observe("h", SimTime::ZERO, || panic!("closure must not run"));
         assert_eq!(tel.events_emitted(), 0);
-        assert!(tel.registry().is_empty());
     }
 
     #[test]
@@ -329,19 +300,135 @@ mod tests {
         );
     }
 
+    /// One sample of every event variant, in declaration order.
+    fn every_event() -> Vec<TelemetryEvent> {
+        use TelemetryEvent::*;
+        vec![
+            LookupStart {
+                q: 1,
+                source: 2,
+                key: 3,
+            },
+            LookupHop {
+                q: 1,
+                from: 2,
+                to: 4,
+            },
+            LookupTimeout {
+                q: 1,
+                at: 4,
+                dead: 5,
+            },
+            LookupHandoff { q: 1, successor: 6 },
+            LookupComplete {
+                q: 1,
+                hops: 3,
+                heavy: 1,
+            },
+            LookupDropped { q: 2, hops: 9 },
+            LinkShed { node: 4, count: 2 },
+            LinkGrown { node: 6, count: 1 },
+            LinkPurged { node: 4, peer: 5 },
+            NodeJoined { node: 7 },
+            NodeDeparted { host: 3, nodes: 2 },
+            NodeRelocated { from: 7, to: 8 },
+            AdaptTick { round: 1 },
+            FaultInjected {
+                seq: 0,
+                fault: "Partition".into(),
+            },
+            MessageLost {
+                q: 3,
+                from: 2,
+                to: 4,
+            },
+            LookupRetry { q: 3, attempt: 1 },
+            LookupFailed { q: 3, hops: 2 },
+            AdversaryActivated {
+                seq: 0,
+                actor: "CapacityLiar".into(),
+            },
+            CapacityMisreport {
+                host: 3,
+                factor: 0.1,
+            },
+            DefectedForward {
+                q: 4,
+                from: 2,
+                to: 9,
+            },
+            FloodBurst { key: 3, count: 80 },
+            HopSpan {
+                q: 4,
+                hop: 1,
+                node: 9,
+                span: span::span_id(4, 1),
+                parent: span::parent_id(4, 1),
+                enqueued: 100,
+                service_start: 150,
+                service_end: 350,
+            },
+        ]
+    }
+
     #[test]
-    fn report_record_embeds_registry() {
+    fn every_written_record_parses_back() {
+        let events = every_event();
+        let kinds: std::collections::BTreeSet<&str> = events.iter().map(|e| e.kind()).collect();
+        assert_eq!(kinds.len(), events.len(), "one sample per variant");
+
         let sink = MemorySink::new();
         let lines = sink.handle();
         let mut tel = Telemetry::disabled();
         tel.add_sink(Box::new(sink));
-        tel.counter_add("x", 2);
+        let at = |i: usize| SimTime::from_micros(1_000_003 * i as u64 + 7);
+        for (i, event) in events.iter().enumerate() {
+            tel.emit(at(i), || event.clone());
+        }
+        let snapshot = zeroed_snapshot(SimTime::from_micros(2_500_000));
+        tel.record_snapshot(snapshot.clone());
+        tel.record_report(&snapshot);
+        let lines = lines.lock().unwrap().clone();
+        assert_eq!(lines.len(), events.len() + 2);
+
+        let parsed: Vec<Json> = lines
+            .iter()
+            .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+            .collect();
+        fn kind(v: &Json) -> Option<&str> {
+            v.get("kind").and_then(Json::as_str)
+        }
+        for (i, (v, event)) in parsed.iter().zip(&events).enumerate() {
+            assert_eq!(kind(v), Some("event"));
+            assert_eq!(v.get("at").and_then(Json::as_u64), Some(at(i).as_micros()));
+            assert_eq!(v.get("seq").and_then(Json::as_u64), Some(i as u64));
+            let payload = v.get("event").and_then(Json::as_obj).unwrap();
+            assert_eq!(payload.len(), 1);
+            assert_eq!(payload[0].0, event.kind());
+        }
+
+        let (snap, report) = (&parsed[events.len()], &parsed[events.len() + 1]);
+        assert_eq!(kind(snap), Some("snapshot"));
+        assert_eq!(kind(report), Some("report"));
+        for (v, key) in [(snap, "snapshot"), (report, "report")] {
+            let at = v.get(key).and_then(|s| s.get("at")).and_then(Json::as_u64);
+            assert_eq!(at, Some(2_500_000));
+            assert_eq!(
+                v.as_obj().unwrap().len(),
+                2,
+                "{key} record has extra fields"
+            );
+        }
+    }
+
+    #[test]
+    fn report_record_wraps_the_report() {
+        let sink = MemorySink::new();
+        let lines = sink.handle();
+        let mut tel = Telemetry::disabled();
+        tel.add_sink(Box::new(sink));
         tel.record_report(&42u64);
         let line = lines.lock().unwrap().pop().unwrap();
-        assert_eq!(
-            line,
-            "{\"kind\":\"report\",\"report\":42,\
-             \"registry\":{\"counters\":{\"x\":2},\"gauges\":{},\"histograms\":{}}}"
-        );
+        assert_eq!(line, "{\"kind\":\"report\",\"report\":42}");
     }
 }

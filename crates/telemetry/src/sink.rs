@@ -3,18 +3,17 @@
 //! A sink receives each record as one JSON line (no trailing newline);
 //! how it stores or ships the line is its business. The two built-ins
 //! cover the common cases: [`JsonlSink`] appends to a file for offline
-//! analysis, [`RingSink`] / [`MemorySink`] capture lines in memory for
-//! tests and determinism checks (both hand out an [`Arc`] handle so the
-//! captured lines stay readable after the sink — boxed inside a
-//! `Telemetry` — is out of reach).
+//! analysis, [`MemorySink`] captures lines in memory for tests and
+//! determinism checks (it hands out an [`Arc`] handle so the captured
+//! lines stay readable after the sink — boxed inside a `Telemetry` — is
+//! out of reach).
 
-// D10 mirror exception: the in-memory sinks hand out Arc<Mutex<_>>
+// D10 mirror exception: the in-memory sink hands out Arc<Mutex<_>>
 // read handles on purpose (captured lines must stay readable after the
 // sink is boxed away), and ert-telemetry is observability plumbing
 // outside the simulation crates ert-lint scopes D10 to.
 #![allow(clippy::disallowed_types)]
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -94,94 +93,6 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Keeps only the most recent `capacity` records. For tests that want
-/// a bounded tail, mirroring the trace ring.
-pub struct RingSink {
-    capacity: usize,
-    lines: Arc<Mutex<VecDeque<String>>>,
-}
-
-impl RingSink {
-    /// A sink retaining the last `capacity` records.
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            capacity,
-            lines: Arc::new(Mutex::new(VecDeque::new())),
-        }
-    }
-
-    /// A handle that stays readable after the sink is boxed away.
-    pub fn handle(&self) -> Arc<Mutex<VecDeque<String>>> {
-        Arc::clone(&self.lines)
-    }
-}
-
-impl EventSink for RingSink {
-    fn record(&mut self, line: &str) {
-        // ert-lint: allow(transitive-panic) — poisoning needs a panicked writer, which the panic-free sim path rules out
-        let mut lines = self.lines.lock().expect("no poisoned telemetry lock");
-        if self.capacity == 0 {
-            return;
-        }
-        if lines.len() == self.capacity {
-            lines.pop_front();
-        }
-        lines.push_back(line.to_string());
-    }
-}
-
-/// Captures only the records a lookup-trace tree is built from:
-/// [`HopSpan`](crate::TelemetryEvent::HopSpan) spans plus the
-/// `LookupStart` / `LookupComplete` lifecycle events that delimit each
-/// tree. Everything else (link events, snapshots, reports) is dropped,
-/// so a span stream of a large run stays proportional to hops served
-/// rather than to total telemetry volume. The captured lines are valid
-/// JSONL input for `ert-obs`'s `trace-analyze`.
-pub struct SpanSink {
-    lines: Arc<Mutex<Vec<String>>>,
-}
-
-/// The event tags a [`SpanSink`] retains, matched against the
-/// serialized line (events are externally tagged, so the tag is the
-/// first key of the `"event"` object).
-const SPAN_TAGS: [&str; 3] = [
-    "\"event\":{\"HopSpan\"",
-    "\"event\":{\"LookupStart\"",
-    "\"event\":{\"LookupComplete\"",
-];
-
-impl SpanSink {
-    /// An empty span sink.
-    pub fn new() -> SpanSink {
-        SpanSink {
-            lines: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// A handle that stays readable after the sink is boxed away.
-    pub fn handle(&self) -> Arc<Mutex<Vec<String>>> {
-        Arc::clone(&self.lines)
-    }
-}
-
-impl Default for SpanSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventSink for SpanSink {
-    fn record(&mut self, line: &str) {
-        if SPAN_TAGS.iter().any(|tag| line.contains(tag)) {
-            self.lines
-                .lock()
-                // ert-lint: allow(transitive-panic) — poisoning needs a panicked writer, which the panic-free sim path rules out
-                .expect("no poisoned telemetry lock")
-                .push(line.to_string());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,46 +107,6 @@ mod tests {
             *handle.lock().unwrap(),
             vec!["a".to_string(), "b".to_string()]
         );
-    }
-
-    #[test]
-    fn ring_sink_keeps_only_the_tail() {
-        let mut sink = RingSink::new(2);
-        let handle = sink.handle();
-        for line in ["a", "b", "c", "d"] {
-            sink.record(line);
-        }
-        let lines: Vec<String> = handle.lock().unwrap().iter().cloned().collect();
-        assert_eq!(lines, vec!["c".to_string(), "d".to_string()]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_discards_everything() {
-        let mut sink = RingSink::new(0);
-        let handle = sink.handle();
-        sink.record("a");
-        assert!(handle.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn span_sink_keeps_only_trace_records() {
-        let mut sink = SpanSink::new();
-        let handle = sink.handle();
-        let kept = [
-            r#"{"kind":"event","at":0,"seq":0,"event":{"LookupStart":{"q":0,"source":1,"key":2}}}"#,
-            r#"{"kind":"event","at":5,"seq":1,"event":{"HopSpan":{"q":0,"hop":0,"node":1,"span":1,"parent":0,"enqueued":0,"service_start":0,"service_end":5}}}"#,
-            r#"{"kind":"event","at":9,"seq":3,"event":{"LookupComplete":{"q":0,"hops":1,"heavy":0}}}"#,
-        ];
-        let dropped = [
-            r#"{"kind":"event","at":7,"seq":2,"event":{"LookupHop":{"q":0,"from":1,"to":2}}}"#,
-            r#"{"kind":"snapshot","snapshot":{"at":8}}"#,
-            r#"{"kind":"report","report":42}"#,
-        ];
-        for line in kept.iter().chain(dropped.iter()) {
-            sink.record(line);
-        }
-        let got = handle.lock().unwrap().clone();
-        assert_eq!(got, kept.map(String::from).to_vec());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use std::path::PathBuf;
 
-use ert_obs::Json;
+use ert_telemetry::Json;
 
 /// Relative tolerance between a recorded rate and `counter / wall`.
 /// The bench computes rates from the same numbers, so this only

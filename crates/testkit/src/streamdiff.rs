@@ -1,7 +1,7 @@
 //! Differential oracle for streaming statistics (`--stream-stats`).
 //!
 //! The streaming mode swaps the per-query metric collectors for
-//! O(1)-memory P² sketches (`ert_obs::StreamSummary`). The contract
+//! O(1)-memory P² sketches (`ert_sim::stats::StreamSummary`). The contract
 //! the oracle pins, across seeds and workload shapes:
 //!
 //! * **Exact fields stay bit-identical.** Counts, push-order means,
@@ -212,8 +212,7 @@ mod tests {
     use super::*;
     use ert_baselines::base;
     use ert_experiments::Workload;
-    use ert_obs::{Digest, Record, StreamSummary};
-    use ert_sim::stats::Samples;
+    use ert_sim::stats::{Digest, Record, Samples, StreamSummary};
 
     fn quick(seed: u64) -> Scenario {
         let mut s = Scenario::quick(seed);

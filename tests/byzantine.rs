@@ -93,7 +93,7 @@ fn adversarial_runs_reproduce_across_jobs_1_and_4() {
 }
 
 /// A flood an order of magnitude larger than the base workload, with
-/// the streaming collectors (`stream_stats`, the `ert-obs` P² sketches)
+/// the streaming collectors (`stream_stats`, the `ert_sim::stats` P² sketches)
 /// keeping metric memory O(1): everything injected is accounted for
 /// and the run still completes nearly everything after the crest
 /// drains.

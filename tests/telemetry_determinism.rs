@@ -1,7 +1,7 @@
 //! The telemetry stream is a deterministic function of the seed, and
 //! observing a run never changes it.
 //!
-//! Two properties are pinned here:
+//! Three properties are pinned here:
 //!
 //! 1. **Byte-identical replay** — the same fixed-seed scenario run
 //!    twice produces byte-for-byte the same JSONL event stream and the
@@ -9,10 +9,12 @@
 //! 2. **Observer neutrality** — running with telemetry (sinks attached,
 //!    sampler on) yields exactly the [`ert_network::RunReport`] of an
 //!    uninstrumented run.
+//! 3. **Reader agreement** — [`TraceAnalysis`] reads the captured
+//!    stream back without a malformed line and finds every `HopSpan`.
 
 use ert_network::{Network, NetworkConfig, ProtocolSpec};
 use ert_sim::SimDuration;
-use ert_telemetry::{MemorySink, SpanSink, Telemetry};
+use ert_telemetry::{MemorySink, Telemetry, TraceAnalysis};
 
 fn capacities(n: usize) -> Vec<f64> {
     (0..n).map(|i| 600.0 + 250.0 * (i % 5) as f64).collect()
@@ -90,15 +92,15 @@ fn stream_has_events_snapshots_and_monotone_timestamps() {
     assert!(event_ats.windows(2).all(|w| w[0] <= w[1]));
 }
 
-/// Runs the fixed scenario in `--stream-stats` mode with a [`SpanSink`]
-/// attached and returns the retained trace lines plus the report.
+/// Runs the fixed scenario in `--stream-stats` mode with a memory sink
+/// attached and returns the recorded JSONL lines plus the report.
 fn traced_stream_run() -> (Vec<String>, ert_network::RunReport) {
     let caps = capacities(96);
     let lookups = ert_network::network::uniform_lookup_burst(200, 96.0, 17);
     let mut cfg = fixed_config();
     cfg.stream_stats = true;
     let mut net = Network::new(cfg, &caps, ProtocolSpec::ert_af()).unwrap();
-    let sink = SpanSink::new();
+    let sink = MemorySink::new();
     let lines = sink.handle();
     let mut tel = Telemetry::disabled();
     tel.add_sink(Box::new(sink));
@@ -109,10 +111,9 @@ fn traced_stream_run() -> (Vec<String>, ert_network::RunReport) {
 }
 
 /// Streaming collectors don't break replay: the same `--stream-stats`
-/// scenario traced twice yields byte-for-byte the same span stream and
-/// the same report — and the stream actually carries [`HopSpan`]
-/// records for the causal per-hop breakdown, with the non-trace event
-/// kinds filtered out by the sink.
+/// scenario traced twice yields byte-for-byte the same stream and the
+/// same report — and the stream actually carries `HopSpan` records for
+/// the causal per-hop breakdown, which [`TraceAnalysis`] reads back.
 #[test]
 fn stream_stats_trace_is_byte_identical_and_carries_hop_spans() {
     let (a, ra) = traced_stream_run();
@@ -127,14 +128,22 @@ fn stream_stats_trace_is_byte_identical_and_carries_hop_spans() {
         a.iter().any(|l| l.contains("\"event\":{\"HopSpan\"")),
         "no HopSpan records in the trace"
     );
-    for l in &a {
-        assert!(
-            ["HopSpan", "LookupStart", "LookupComplete"]
-                .iter()
-                .any(|k| l.contains(&format!("\"event\":{{\"{k}\""))),
-            "non-trace record retained by SpanSink: {l}"
-        );
-    }
+
+    // The analyzer reads the writer's real output: every line parses,
+    // and each `HopSpan` line becomes exactly one span.
+    let analysis = TraceAnalysis::from_lines(a.iter().map(String::as_str));
+    assert_eq!(analysis.malformed_lines, 0);
+    let hop_spans = a
+        .iter()
+        .filter(|l| l.contains("\"event\":{\"HopSpan\""))
+        .count();
+    assert_eq!(analysis.span_count(), hop_spans);
+    let completed = analysis
+        .lookups()
+        .values()
+        .filter(|t| t.total().is_some())
+        .count();
+    assert_eq!(completed as u64, ra.lookups_completed);
 }
 
 /// The pinned mixed adversary schedule (liars + defectors + a Sybil
